@@ -17,11 +17,11 @@ log, which the test suite asserts bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import CoopError
-from repro.util.validation import check_fraction, check_probability
+from repro.parallel.cooperative import CooperationConfig
 
 __all__ = ["CoopConfig", "TOPOLOGIES"]
 
@@ -31,10 +31,23 @@ TOPOLOGIES = ("ring", "islands", "all_to_all", "star")
 #: spawn-key namespace separating island adoption streams from walk seeds
 COOP_STREAM = 0xC0
 
+#: key order of the wire dict (fixed so coop frames stay byte-identical)
+_WIRE_FIELDS = (
+    "topology", "report_interval", "adopt_interval", "migration_interval",
+    "p_adopt", "pool_size", "min_relative_gain", "perturb_fraction",
+    "group_size", "migration_timeout", "seed",
+)
+
 
 @dataclass(frozen=True)
-class CoopConfig:
+class CoopConfig(CooperationConfig):
     """Cooperative (dependent multi-walk) scheme for one cluster job.
+
+    The local adoption policy (``report_interval``, ``adopt_interval``,
+    ``p_adopt``, ``pool_size``, ``min_relative_gain``,
+    ``perturb_fraction``) is inherited from
+    :class:`~repro.parallel.cooperative.CooperationConfig`; this class
+    adds who migrates to whom, and when.
 
     Parameters
     ----------
@@ -44,20 +57,9 @@ class CoopConfig:
         of ``group_size``), ``"all_to_all"`` (everyone to everyone), or
         ``"star"`` (coordinator-mediated: the round's best island's elite
         goes to everyone else).
-    report_interval:
-        iterations per synchronized round; each walker of an island steps
-        this many iterations between elite-pool reports.
-    adopt_interval:
-        minimum iterations a walker searches on its own between adoption
-        attempts (the local elite-pool jump of
-        :class:`~repro.parallel.cooperative.CooperationConfig`).
     migration_interval:
         island rounds between cross-island exchanges; 1 = every round
         sends an ``elite_report`` and waits for the ``elite_push``.
-    p_adopt / pool_size / min_relative_gain / perturb_fraction:
-        the local adoption policy, identical in meaning to the in-process
-        cooperative scheme (see
-        :class:`~repro.parallel.cooperative.CooperationConfig`).
     group_size:
         group width for the ``"islands"`` topology (ignored otherwise).
     migration_timeout:
@@ -71,28 +73,21 @@ class CoopConfig:
     """
 
     topology: str = "ring"
-    report_interval: int = 64
-    adopt_interval: int = 256
     migration_interval: int = 1
-    p_adopt: float = 0.8
-    pool_size: int = 8
-    min_relative_gain: float = 0.1
-    perturb_fraction: float = 0.05
     group_size: int = 2
     migration_timeout: float = 5.0
     seed: int | None = None
 
+    _error = CoopError
+
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.topology not in TOPOLOGIES:
             raise CoopError(
                 f"unknown topology {self.topology!r}; "
                 f"choose one of {', '.join(TOPOLOGIES)}"
             )
-        for name in ("report_interval", "adopt_interval", "migration_interval",
-                     "pool_size", "group_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise CoopError(f"{name} must be an int >= 1, got {value!r}")
+        self._check_counts("migration_interval", "group_size")
         if self.migration_timeout <= 0:
             raise CoopError(
                 f"migration_timeout must be > 0, got {self.migration_timeout}"
@@ -101,25 +96,18 @@ class CoopConfig:
             not isinstance(self.seed, int) or self.seed < 0
         ):
             raise CoopError(f"seed must be a non-negative int, got {self.seed!r}")
-        try:
-            check_probability("p_adopt", self.p_adopt)
-            check_probability("min_relative_gain", self.min_relative_gain)
-            check_fraction("perturb_fraction", self.perturb_fraction)
-        except (TypeError, ValueError) as err:
-            raise CoopError(str(err)) from None
 
     # ------------------------------------------------------------------
     def to_wire(self) -> dict[str, Any]:
         """JSON-safe dict for submit/assign frames (round-trips exactly)."""
-        return asdict(self)
+        return {name: getattr(self, name) for name in _WIRE_FIELDS}
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "CoopConfig":
         """Validate and rebuild from a wire dict (unknown keys rejected)."""
         if not isinstance(data, Mapping):
             raise CoopError(f"coop config must be a mapping, got {type(data).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(_WIRE_FIELDS)
         if unknown:
             raise CoopError(
                 f"unknown coop config field(s): {', '.join(sorted(unknown))}"
@@ -130,4 +118,4 @@ class CoopConfig:
         """A copy with ``seed`` filled in (no-op if already set)."""
         if self.seed is not None:
             return self
-        return CoopConfig(**{**asdict(self), "seed": int(seed)})
+        return replace(self, seed=int(seed))

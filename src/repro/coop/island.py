@@ -1,9 +1,11 @@
 """One island: a synchronized group of walkers around a local elite pool.
 
-:class:`IslandRunner` is the node-side execution loop of the cross-node
-cooperative scheme.  It is the in-process
-:class:`~repro.parallel.cooperative.CooperativeMultiWalk` round loop lifted
-into a form a :class:`~repro.net.agent.NodeAgent` can host on a thread:
+:class:`IslandRunner` is the round loop and the adoption policy of the
+cooperative scheme — the only copy of either.  A
+:class:`~repro.net.agent.NodeAgent` hosts one per cooperative assignment
+on a thread, and the in-process
+:class:`~repro.parallel.cooperative.CooperativeMultiWalk` is one island
+over all walkers with no transport:
 
 - the island's walkers are resumable
   :class:`~repro.core.session.AdaptiveSearchSession`\\ s advancing in
@@ -21,11 +23,13 @@ into a form a :class:`~repro.net.agent.NodeAgent` can host on a thread:
 The runner is transport-agnostic on purpose: ``send_report`` is any
 non-blocking callable and ``inbox`` any queue, so the same loop is driven
 by the real cluster protocol in production and by plain lists in tests.
+Without a ``send_report`` the island has nobody to migrate to and never
+waits on one.
 
 Determinism: the adoption RNG is derived solely from ``(coop.seed,
-island id)``, walker trajectories from their walk seeds, and migrant
-batches from the coordinator's deterministic relay — so a fixed job seed
-reproduces the island's decisions exactly.
+island id)`` (or handed in), walker trajectories from their walk seeds,
+and migrant batches from the coordinator's deterministic relay — so a
+fixed job seed reproduces the island's decisions exactly.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.coop.config import COOP_STREAM, CoopConfig
+from repro.coop.config import COOP_STREAM
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.session import AdaptiveSearchSession
 from repro.core.termination import TerminationReason
 from repro.csp.permutation import random_partial_reset
 from repro.errors import CoopError
-from repro.parallel.cooperative import ElitePool
+from repro.parallel.cooperative import CooperationConfig, ElitePool
 from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
 from repro.telemetry.events import EliteAdopt
@@ -69,7 +73,10 @@ class IslandOutcome:
     """What one island hands back to its hosting agent."""
 
     island: int
+    #: walkers that ended (solved or out of budget) — what an agent reports
     walks: list[WalkOutcome] = field(default_factory=list)
+    #: walkers still searching when the island stopped (reason CANCELLED)
+    unfinished: list[WalkOutcome] = field(default_factory=list)
     winner: Optional[WalkOutcome] = None
     rounds: int = 0
     cancelled: bool = False
@@ -89,7 +96,9 @@ class IslandRunner:
         client-side exactly as for independent net walks).
     coop:
         the job's :class:`~repro.coop.config.CoopConfig`; ``coop.seed``
-        must be filled in by this point (the client guarantees it).
+        must be filled in by this point (the client guarantees it).  An
+        island without a transport reads only the adoption policy, so a
+        plain :class:`~repro.parallel.cooperative.CooperationConfig` does.
     island:
         this island's coordinator-assigned id (keys the adoption RNG).
     walk_ids / seeds:
@@ -97,30 +106,35 @@ class IslandRunner:
         :class:`~numpy.random.SeedSequence`\\ s, aligned index-for-index.
     send_report:
         non-blocking callable ``(round_index, cost, config)`` shipping
-        this island's elite upward.
+        this island's elite upward; ``None`` for a lone island, which
+        then skips migration altogether.
     inbox:
         queue the host feeds :class:`MigrantBatch` instances into.
     cancel:
         event ending the island early (cluster-level job cancel).
     recorder:
         optional telemetry recorder for ``elite_adopt`` events.
+    rng:
+        the adoption stream; by default derived from ``(coop.seed,
+        island)`` so it does not depend on which node hosts the island.
     """
 
     def __init__(
         self,
         problem: Problem,
         config: AdaptiveSearchConfig,
-        coop: CoopConfig,
+        coop: CooperationConfig,
         *,
         island: int,
         walk_ids: Sequence[int],
         seeds: Sequence[Any],
-        send_report: Callable[[int, float, np.ndarray], None],
-        inbox: "queue.Queue[MigrantBatch]",
+        send_report: Callable[[int, float, np.ndarray], None] | None = None,
+        inbox: "queue.Queue[MigrantBatch] | None" = None,
         cancel: threading.Event | None = None,
         recorder: Any = None,
         trace_id: str = "",
         job_id: int = -1,
+        rng: np.random.Generator | None = None,
     ) -> None:
         if len(walk_ids) != len(seeds):
             raise CoopError(
@@ -129,8 +143,18 @@ class IslandRunner:
             )
         if not walk_ids:
             raise CoopError(f"island {island} has no walkers")
-        if coop.seed is None:
-            raise CoopError("CoopConfig.seed must be set before an island runs")
+        if rng is None:
+            if coop.seed is None:
+                raise CoopError(
+                    "CoopConfig.seed must be set before an island runs"
+                )
+            # a stream owned by (seed, island): independent of walker
+            # seeds and of which node hosts the island
+            rng = np.random.default_rng(
+                np.random.SeedSequence(
+                    coop.seed, spawn_key=(COOP_STREAM, island)
+                )
+            )
         self.problem = problem
         self.config = config
         self.coop = coop
@@ -143,16 +167,13 @@ class IslandRunner:
         self.recorder = recorder
         self.trace_id = trace_id
         self.job_id = job_id
-        #: adoption decisions draw from a stream owned by (seed, island) —
-        #: independent of walker seeds and of which node hosts the island
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(coop.seed, spawn_key=(COOP_STREAM, island))
-        )
+        self._rng = rng
         self.pool = ElitePool(coop.pool_size)
 
     # ------------------------------------------------------------------
-    def run(self) -> IslandOutcome:
-        """Drive the island to its end (solve, exhaustion, or cancel)."""
+    def run(self, max_rounds: int | None = None) -> IslandOutcome:
+        """Drive the island to its end: a solve, every walker out of
+        budget, a cancel, or ``max_rounds`` synchronized rounds."""
         coop = self.coop
         cfg = self.config
         sessions = {
@@ -172,7 +193,12 @@ class IslandRunner:
         rounds = 0
         started = time.perf_counter()
 
-        while active and winner_id is None and not self.cancel.is_set():
+        while (
+            active
+            and winner_id is None
+            and not self.cancel.is_set()
+            and (max_rounds is None or rounds < max_rounds)
+        ):
             rounds += 1
             for walk_id in sorted(active):
                 if self.cancel.is_set():
@@ -199,12 +225,19 @@ class IslandRunner:
                     continue
                 self.pool.offer(session.cost, session.state.config)
                 self._maybe_adopt(session, walk_id, last_adopt, stats)
-            if winner_id is None and active and not self.cancel.is_set():
-                if rounds % coop.migration_interval == 0:
-                    self._migrate(rounds, stats)
+            if (
+                self.send_report is not None
+                and winner_id is None
+                and active
+                and not self.cancel.is_set()
+                and rounds % coop.migration_interval == 0
+            ):
+                self._migrate(rounds, stats)
 
         walks = [
-            self._outcome(walk_id, sessions[walk_id], finished.get(walk_id))
+            WalkOutcome.from_session(
+                walk_id, sessions[walk_id], finished[walk_id]
+            )
             for walk_id in self.walk_ids
             if walk_id in finished
         ]
@@ -214,6 +247,11 @@ class IslandRunner:
         return IslandOutcome(
             island=self.island,
             walks=walks,
+            unfinished=[
+                WalkOutcome.from_session(walk_id, sessions[walk_id])
+                for walk_id in self.walk_ids
+                if walk_id not in finished
+            ],
             winner=winner,
             rounds=rounds,
             cancelled=self.cancel.is_set(),
@@ -240,7 +278,8 @@ class IslandRunner:
         last_adopt: dict[int, int],
         stats: dict[str, int],
     ) -> None:
-        """The local adoption policy — identical to the in-process scheme."""
+        """The adoption policy: maybe restart ``session`` from a perturbed
+        copy of the pool's best entry."""
         coop = self.coop
         if session.stats.iterations - last_adopt[walk_id] < coop.adopt_interval:
             return
@@ -297,19 +336,3 @@ class IslandRunner:
                 return
             # an older round's push straggled in: its migrants were folded
             # into the pool above, but keep waiting for the current round
-
-    def _outcome(
-        self,
-        walk_id: int,
-        session: AdaptiveSearchSession,
-        reason: Optional[TerminationReason],
-    ) -> WalkOutcome:
-        return WalkOutcome(
-            walk_id=walk_id,
-            solved=session.solved,
-            cost=session.best_cost,
-            iterations=session.stats.iterations,
-            wall_time=session.elapsed,
-            reason=reason if reason is not None else TerminationReason.CANCELLED,
-            config=session.best_config if session.solved else None,
-        )

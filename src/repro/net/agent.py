@@ -232,7 +232,6 @@ class NodeAgent:
         self._stopped = False
         self.closed = asyncio.Event()
         self.node_id: int | None = None
-        self.negotiated: int | None = None
         self._last_rx = 0.0
         self._rehoming = False
 
@@ -307,7 +306,6 @@ class NodeAgent:
             self.host, self.port = host, port
             self._reader, self._writer = reader, writer
             self.node_id = welcome.get("node_id")
-            self.negotiated = welcome.get("negotiated")
             self._last_rx = time.monotonic()
             return
         raise NetError(
@@ -321,11 +319,7 @@ class NodeAgent:
             asyncio.ensure_future(self._heartbeat_loop()),
             asyncio.ensure_future(self._pump_loop()),
         ]
-        if (
-            self.reconnect
-            and self.lease_timeout is not None
-            and (self.negotiated or 0) >= 7
-        ):
+        if self.reconnect and self.lease_timeout is not None:
             self._tasks.append(
                 asyncio.ensure_future(self._lease_watch_loop())
             )

@@ -67,7 +67,6 @@ from repro.net.journal import (
     submit_record,
 )
 from repro.net.protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     Message,
     pickle_blob,
@@ -182,21 +181,43 @@ class _Conn:
         except asyncio.TimeoutError:  # pragma: no cover - defensive
             pass
 
+    async def close(self) -> None:
+        """Graceful end: flush the queue, retire the writer task, FIN.
+
+        For peers that must still read what was queued (a ``reject``):
+        the RST of :meth:`abort` may discard a buffered frame first.
+        """
+        if self.closed:
+            return
+        await self.drain()
+        self._retire()
+        await self.wait_closed()
+        self.writer.close()
+
     def abort(self) -> None:
         if not self.closed:
-            self.closed = True
-            if self._writer_task is not None:
-                self._writer_task.cancel()
-            # release any drain() waiters: the unsent tail is gone anyway
-            while True:
-                try:
-                    self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self._queue.task_done()
+            self._retire()
             transport = self.writer.transport
             if transport is not None:
                 transport.abort()
+
+    def _retire(self) -> None:
+        self.closed = True
+        if self._writer_task is not None:
+            self._writer_task.cancel()
+        # release any drain() waiters: the unsent tail is gone anyway
+        while True:
+            try:
+                self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            self._queue.task_done()
+
+    async def wait_closed(self) -> None:
+        """Wait out the cancelled writer task: a task still pending when
+        its loop goes away is destroyed with a warning, never finished."""
+        if self._writer_task is not None:
+            await asyncio.gather(self._writer_task, return_exceptions=True)
 
 
 class _Node:
@@ -208,15 +229,11 @@ class _Node:
         name: str,
         capacity: int,
         conn: _Conn,
-        protocol: int = PROTOCOL_VERSION,
     ) -> None:
         self.node_id = node_id
         self.name = name
         self.capacity = capacity
         self.conn = conn
-        #: negotiated protocol version (v6 handshake accepts a window);
-        #: cooperative jobs are only dispatched to >= 6 nodes
-        self.protocol = protocol
         self.last_heartbeat = time.monotonic()
         self.load: dict[str, Any] = {}
         #: job_id -> walk ids currently assigned to this node
@@ -459,8 +476,10 @@ class Coordinator:
         self._jobs: dict[int, _NetJob] = {}
         self._dispatch_offset = 0  # rotates the first node across dispatches
         self._pending: list[int] = []  # job ids waiting for a first node
+        #: every accepted connection, from handshake to handler exit
+        self._conns: set[_Conn] = set()
         self._clients: set[_Conn] = set()
-        #: protocol v7: attached hot standbys tailing the journal stream
+        #: attached hot standbys tailing the journal stream
         self._replicas: set[_Conn] = set()
         #: highest job id ever issued (snapshot checkpoint high-water mark)
         self._max_job_id = -1
@@ -496,7 +515,6 @@ class Coordinator:
             "repeat_assigns": 0,
             "repeat_assign_bytes": 0,
             "coop_jobs": 0,
-            "coop_refused": 0,
             "elite_reports": 0,
             "migrations_relayed": 0,
             "migrations_lost": 0,
@@ -596,12 +614,7 @@ class Coordinator:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        for node in list(self._nodes.values()):
-            node.conn.abort()
-        for client in list(self._clients):
-            client.abort()
-        for replica in list(self._replicas):
-            replica.abort()
+        await self._abort_connections()
         self._nodes.clear()
         self._clients.clear()
         self._replicas.clear()
@@ -624,18 +637,20 @@ class Coordinator:
         if self._server is not None:
             self._server.close()
             self._server = None
-        for node in list(self._nodes.values()):
-            node.conn.abort()
-        for client in list(self._clients):
-            client.abort()
-        for replica in list(self._replicas):
-            replica.abort()
+        await self._abort_connections()
         self._nodes.clear()
         self._clients.clear()
         self._replicas.clear()
         self._jobs.clear()
         self._pending.clear()
         self._client_keys.clear()
+
+    async def _abort_connections(self) -> None:
+        """Reset every connection and see its writer task finished."""
+        conns = list(self._conns)
+        for conn in conns:
+            conn.abort()
+        await asyncio.gather(*(conn.wait_closed() for conn in conns))
 
     async def _maybe_crash(self, point: str) -> bool:
         """Crash here if the chaos plan says so; True when we did."""
@@ -658,47 +673,46 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Conn(reader, writer, on_drop=self._on_frame_dropped)
+        self._conns.add(conn)
         try:
-            hello = await read_message(reader)
+            await self._serve_connection(conn)
+        finally:
+            self._conns.discard(conn)
+
+    async def _serve_connection(self, conn: _Conn) -> None:
+        """Handshake, then run the peer's role loop until it goes away."""
+        try:
+            hello = await read_message(conn.reader)
         except NetError:
             conn.abort()
             return
         if hello is None or hello.type != "hello":
             conn.abort()
             return
+        # peers are built from one tree: one version, no window
         peer_version = hello.get("protocol")
-        if (
-            not isinstance(peer_version, int)
-            or isinstance(peer_version, bool)
-            or not MIN_PROTOCOL_VERSION <= peer_version <= PROTOCOL_VERSION
-        ):
+        if type(peer_version) is not int or peer_version != PROTOCOL_VERSION:
             await conn.send(
                 Message(
                     "reject",
                     {
                         "protocol": PROTOCOL_VERSION,
-                        "min_protocol": MIN_PROTOCOL_VERSION,
                         "error": (
                             f"protocol version mismatch: coordinator speaks "
-                            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}, "
-                            f"peer sent {peer_version!r}"
+                            f"{PROTOCOL_VERSION}, peer sent {peer_version!r}"
                         ),
                     },
                 )
             )
-            # graceful FIN, not abort(): an RST may discard the buffered
-            # reject frame before the peer reads it
-            await conn.drain()
-            conn.closed = True
-            writer.close()
+            await conn.close()
             return
         role = hello.get("role")
         if role == "node":
-            await self._run_node(conn, hello, peer_version)
+            await self._run_node(conn, hello)
         elif role == "client":
-            await self._run_client(conn, hello, peer_version)
+            await self._run_client(conn, hello)
         elif role == "replica":
-            await self._run_replica(conn, hello, peer_version)
+            await self._run_replica(conn)
         else:
             conn.abort()
 
@@ -707,27 +721,20 @@ class Coordinator:
         self.counters["frames_dropped"] += 1
         self.recorder.registry.counter("net.dropped_frames").inc()
 
-    async def _run_node(
-        self, conn: _Conn, hello: Message, protocol: int
-    ) -> None:
+    async def _run_node(self, conn: _Conn, hello: Message) -> None:
         node_id = next(self._node_ids)
         node = _Node(
             node_id=node_id,
             name=hello.get("name") or f"node-{node_id}",
             capacity=int(hello.get("capacity", 1)),
             conn=conn,
-            protocol=protocol,
         )
         self._nodes[node_id] = node
         self.counters["nodes_joined"] += 1
         await conn.send(
             Message(
                 "welcome",
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "negotiated": protocol,
-                    "node_id": node_id,
-                },
+                {"protocol": PROTOCOL_VERSION, "node_id": node_id},
             )
         )
         await self._flush_pending()
@@ -781,17 +788,10 @@ class Coordinator:
                     "at": now,
                 }
 
-    async def _run_client(
-        self, conn: _Conn, hello: Message, protocol: int
-    ) -> None:
+    async def _run_client(self, conn: _Conn, hello: Message) -> None:
         conn.resilient = bool(hello.get("reconnect", False))
         self._clients.add(conn)
-        await conn.send(
-            Message(
-                "welcome",
-                {"protocol": PROTOCOL_VERSION, "negotiated": protocol},
-            )
-        )
+        await conn.send(Message("welcome", {"protocol": PROTOCOL_VERSION}))
         try:
             while True:
                 message = await read_message(conn.reader)
@@ -811,39 +811,14 @@ class Coordinator:
     # ------------------------------------------------------------------
     # replication (protocol v7 hot standby)
     # ------------------------------------------------------------------
-    async def _run_replica(
-        self, conn: _Conn, hello: Message, protocol: int
-    ) -> None:
+    async def _run_replica(self, conn: _Conn) -> None:
         """Serve one hot standby: snapshot, then tail the journal stream.
 
         The standby is a read-only peer — after the snapshot it only ever
         receives ``replica_record`` and ``lease`` frames; anything it
         sends (nothing, today) is ignored until EOF.
         """
-        if protocol < 7:
-            await conn.send(
-                Message(
-                    "reject",
-                    {
-                        "protocol": PROTOCOL_VERSION,
-                        "min_protocol": 7,
-                        "error": (
-                            f"replica role needs protocol >= 7, "
-                            f"peer negotiated {protocol}"
-                        ),
-                    },
-                )
-            )
-            await conn.drain()
-            conn.closed = True
-            conn.writer.close()
-            return
-        await conn.send(
-            Message(
-                "welcome",
-                {"protocol": PROTOCOL_VERSION, "negotiated": protocol},
-            )
-        )
+        await conn.send(Message("welcome", {"protocol": PROTOCOL_VERSION}))
         # register + snapshot with no await in between: a concurrent
         # submit can only queue its tee record *behind* the snapshot frame
         # (per-connection FIFO), so the standby never misses a record nor
@@ -972,10 +947,7 @@ class Coordinator:
                 return
         coop = message.get("coop")
         if coop is not None:
-            # protocol v6: validate the coop wire dict and refuse the job
-            # outright while any live node negotiated an older protocol —
-            # a cooperative job degraded to "no migration on half the
-            # cluster" would be silently wrong, so fail loudly instead
+            # the coop wire dict comes from outside: validate before use
             try:
                 coop_config = CoopConfig.from_wire(coop)
             except CoopError as err:
@@ -998,27 +970,6 @@ class Coordinator:
                             "error": (
                                 "cooperative submit carries no coop seed "
                                 "(the client derives it from the job seed)"
-                            ),
-                        },
-                    )
-                )
-                return
-            stale = sorted(
-                node.name
-                for node in self._live_nodes()
-                if node.protocol < 6
-            )
-            if stale:
-                self.counters["coop_refused"] += 1
-                await client.send(
-                    Message(
-                        "error",
-                        {
-                            "request_id": request_id,
-                            "error": (
-                                "cooperative jobs need protocol >= 6 on "
-                                "every node; these nodes negotiated an "
-                                "older version: " + ", ".join(stale)
                             ),
                         },
                     )
@@ -1136,20 +1087,6 @@ class Coordinator:
         """
         if await self._maybe_crash("dispatch"):
             return
-        if job.coop_state is not None:
-            # cooperative jobs only run on nodes that speak the v6 island
-            # frames; the submit-time gate already refused mixed clusters,
-            # but nodes may have joined (or downgraded peers reconnected)
-            # since, so the dispatch path re-filters defensively
-            nodes = [n for n in nodes if n.protocol >= 6]
-            if not nodes:
-                job.error = (
-                    f"cooperative job {job.job_id} needs protocol >= 6 "
-                    f"nodes and none of the live nodes qualify"
-                )
-                job.degraded = bool(job.outcomes)
-                await self._finish(job, JobStatus.FAILED)
-                return
         start = self._dispatch_offset % len(nodes)
         self._dispatch_offset += 1
         nodes = nodes[start:] + nodes[:start]
@@ -1692,7 +1629,7 @@ class Coordinator:
         under the slow-consumer policy: a standby too stalled to drain
         them *should* be treated as gone.
 
-        v7 node agents get the same frames: their connections can outlive
+        Node agents get the same frames: their connections can outlive
         a dead leader (forked workers keep the socket's fd open, so no FIN
         is ever delivered), and lease silence is what triggers re-homing.
         """
@@ -1708,7 +1645,7 @@ class Coordinator:
             if not replica.closed:
                 await replica.send(lease)
         for node in list(self._nodes.values()):
-            if node.protocol >= 7 and not node.lost and not node.conn.closed:
+            if not node.lost and not node.conn.closed:
                 await node.conn.send(lease)
 
     async def _check_deadlines(self, now: float) -> None:

@@ -30,78 +30,63 @@ network), exactly like the paper's MPI ranks.
 Handshake
 ---------
 The first frame on any connection must be ``hello`` carrying ``role``
-(``"node"``, ``"client"``, or — since v7 — ``"replica"``) and
-``protocol``; the coordinator answers ``welcome`` (echoing its own
-version plus the ``negotiated`` one) or
-``reject`` + close.  Since v6 the coordinator accepts any peer version in
-``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` and remembers the negotiated
-version per connection: a v5 agent keeps running independent multi-walk
-slices unchanged, and jobs that *need* v6 frames (cooperative search) are
-refused with a clear error naming the stale node instead of failing
-mid-flight.  Peers older than the window are still rejected outright.
+(``"node"``, ``"client"`` or ``"replica"``) and ``protocol``; the
+coordinator answers ``welcome`` (echoing its version; a node also gets its
+``node_id``) or ``reject`` + close.  Peers are built from one tree, so
+there is exactly one version: any ``protocol`` other than the integer
+:data:`PROTOCOL_VERSION` is rejected with an error naming both versions.
 
-Version history
----------------
-- **1** — initial frame set (submit/assign/walk_result/cancel/heartbeat/
-  stats).
-- **2** — telemetry: ``submit``/``assign`` frames may carry a
-  ``trace_id``; ``cancel`` frames carry ``sent_at`` (the coordinator's
-  monotonic send stamp); nodes answer with a new ``cancel_ack`` frame
-  echoing ``sent_at`` verbatim, so the coordinator measures true
-  cancel-propagation round trips on its *own* clock (no cross-host
-  skew); heartbeats may carry ``load_delta`` (changed keys only) instead
-  of a full ``load`` snapshot.
-- **3** — integrity + resilience: the frame header grows a ``crc32`` of
-  the body (:func:`zlib.crc32`); both decode paths verify it and reject
-  corrupt frames with a :class:`NetError` instead of feeding garbage to
-  ``json.loads``/``pickle.loads``.  ``hello`` may carry ``reconnect``
-  (client asks the coordinator to keep its jobs alive across a
-  disconnect); ``submit`` may carry ``client_key`` (idempotent
-  resubmission token) and ``deadline`` (seconds of cluster-side budget);
-  heartbeats may carry ``progress`` (per-walk iteration counts feeding
-  the coordinator's straggler detector).
-- **4** — dispatch dedup: ``assign`` payloads always carry a
-  ``problem_digest`` (content hash, see
-  :func:`repro.parallel.shm.problem_digest`) and include the pickled
-  ``problem`` itself only the *first* time a given digest goes to a given
-  connection; the node caches problems by digest and later assigns of the
-  same job/problem are a few hundred bytes instead of re-shipping the
-  tables per dispatch.
-- **5** — scheduling: ``submit`` frames may carry a ``priority`` (int,
-  higher dispatches sooner; absent/0 keeps plain FIFO), which the
-  coordinator uses to order its pending-dispatch queue and forwards in
-  ``assign`` frames so each node's local scheduler orders its own
-  dispatch queue the same way.  The gateway maps tenant priority classes
-  onto this field.
-- **6** — cooperative search: ``submit`` frames may carry a ``coop``
-  object (the :class:`~repro.coop.config.CoopConfig` wire dict), which
-  rides into ``assign`` frames together with an ``island`` id; island
-  agents send ``elite_report`` frames (island's best cost + pickled
-  configuration per migration round) and receive ``elite_push`` frames
-  (the coordinator's topology-routed migrant batch for that round); a
-  finishing island sends one ``island_stats`` frame folding its adoption
-  and migration-loss counters into the job result.  Handshakes negotiate
-  down: the coordinator accepts v5 peers (see *Handshake* above) but
-  refuses coop jobs while any live node speaks < 6.
-- **7** — high availability: ``hello`` may carry role ``"replica"`` (a
-  hot-standby coordinator; requires protocol >= 7 on both sides).  The
+Frame set
+---------
+Everything optional below is simply absent when unused, so a plain
+independent job's frames carry none of it.
+
+- **Jobs** — client ``submit`` (blob: pickled problem, config, seeds;
+  fields ``n_walkers``, ``trace_id``, ``client_key`` idempotent
+  resubmission token, ``deadline`` seconds of cluster-side budget,
+  ``priority`` int where higher dispatches sooner and 0 keeps FIFO,
+  ``coop``) answered by ``job_accepted`` then ``job_result`` (or
+  ``error``); coordinator ``assign`` to a node (walk ids, generation,
+  priority, ``problem_digest`` — see
+  :func:`repro.parallel.shm.problem_digest` — with the pickled problem
+  itself only the *first* time a digest goes to a connection; the node
+  caches problems by digest, so repeat assigns are a few hundred bytes);
+  node ``walk_result`` per finished walk.
+- **Cancellation** — ``cancel`` carries ``sent_at`` (the coordinator's
+  monotonic send stamp) and nodes answer ``cancel_ack`` echoing it
+  verbatim, so cancel-propagation round trips are measured on the
+  coordinator's *own* clock (no cross-host skew).
+- **Liveness** — node ``heartbeat`` with a full ``load`` snapshot or a
+  ``load_delta`` (changed keys only) and ``progress`` (per-walk iteration
+  counts feeding the straggler detector); ``stats`` request/response;
+  ``hello`` may carry ``reconnect`` (keep this client's jobs alive across
+  a disconnect).
+- **Cooperative search** — a ``coop`` object on ``submit`` (the
+  :class:`~repro.coop.config.CoopConfig` wire dict) rides into ``assign``
+  together with an ``island`` id; island agents send ``elite_report``
+  (island's best cost + pickled configuration per migration round) and
+  receive ``elite_push`` (the coordinator's topology-routed migrant batch
+  for that round); a finishing island sends one ``island_stats`` frame
+  folding its adoption and migration-loss counters into the job result.
+- **High availability** — to a ``replica`` (hot-standby coordinator) the
   leader answers ``welcome``, then one ``replica_snapshot`` frame (the
   journal-style records of every live job, so a late-attaching standby
-  starts from the leader's current truth) and streams one
-  ``replica_record`` frame per subsequent journal append (submit /
-  generation / finish, carrying priority and coop metadata verbatim) —
-  the write-ahead journal, tailed over the wire, framed and CRC'd like
-  everything else.  The leader also broadcasts periodic ``lease`` frames
-  from its heartbeat watchdog — to standbys *and* to v7 node agents
-  (whose connections can outlive a dead leader without ever seeing an
-  EOF, e.g. when forked workers still hold the socket's fd; lease
-  silence is their re-homing trigger).  A standby whose lease goes
-  silent past its
+  starts from the leader's current truth) and one ``replica_record`` per
+  subsequent journal append (submit / generation / finish, carrying
+  priority and coop metadata verbatim) — the write-ahead journal, tailed
+  over the wire.  The leader broadcasts periodic ``lease`` frames from
+  its heartbeat watchdog to standbys *and* node agents (whose connections
+  can outlive a dead leader without ever seeing an EOF, e.g. when forked
+  workers still hold the socket's fd; lease silence is their re-homing
+  trigger).  A standby whose lease goes silent past its
   ``lease_timeout`` (or whose connection drops) promotes itself: it
   replays its mirrored journal through the ordinary recovery path, bumps
   every generation, and re-dispatches in-flight walks under the existing
-  exactly-one-winner ``client_key`` dedup.  Node/client handshakes still
-  negotiate down to v5 exactly as before.
+  exactly-one-winner ``client_key`` dedup.
+
+History: v2 added telemetry fields and ``cancel_ack``, v3 the CRC and
+resilience fields, v4 digest dedup, v5 priority, v6 the cooperative
+frames, v7 the replica role and leases.
 """
 
 from __future__ import annotations
@@ -121,7 +106,6 @@ from repro.errors import NetError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "Message",
     "encode_message",
@@ -135,11 +119,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 7
-
-#: oldest peer version the coordinator still accepts (negotiate-down
-#: window): v5 nodes run independent multi-walk slices fine; only the v6
-#: cooperative frames are gated on the negotiated version per connection
-MIN_PROTOCOL_VERSION = 5
 
 #: hard frame-size ceiling: a problem pickle is kilobytes, so anything in
 #: the hundreds of megabytes is a corrupt length prefix, not a real frame

@@ -5,7 +5,8 @@ sequential Adaptive Search engine from different random initial
 configurations, with **no communication except completion** — the first walk
 to find a solution terminates all others.
 
-Two executors are provided:
+``MultiWalkSolver(executor=...)`` runs that scheme six ways; walk ``i``
+follows the identical trajectory under every one of them:
 
 - ``"process"`` — real OS processes via :mod:`multiprocessing` (the GIL rules
   out threads for a CPU-bound Python solver); walks poll a shared cancel
@@ -14,11 +15,19 @@ Two executors are provided:
   the parallel wall time is *computed* as the minimum across walks.  For
   zero-communication multi-walks this is semantically exact, determinstic,
   and is what the simulated-platform experiments build on.
+- ``"pool"`` — the persistent warm-worker pool of :mod:`repro.service`:
+  same first-finisher semantics, but the processes are spawned once and
+  shared across solves (and concurrent jobs), so launch overhead is gone.
+- ``"vector"`` — all walks lock-step as lanes of the NumPy
+  :mod:`repro.vector` engine, optionally split over several processes
+  (``lanes=``).
+- ``"net"`` — one job on a :mod:`repro.net` coordinator cluster.
+- ``"coop"`` — ``"net"`` with elite migration between per-node islands
+  (:mod:`repro.coop`), the paper's *dependent* multi-walk; its in-process
+  form is :class:`CooperativeMultiWalk`, one island with no transport.
 
-A third executor, ``"pool"``, delegates the walks to the persistent
-warm-worker pool of :mod:`repro.service` — same first-finisher semantics,
-but the processes are spawned once and shared across solves (and across
-concurrent jobs), so per-call launch overhead disappears.
+One walk report crosses every process boundary:
+:class:`~repro.parallel.results.WalkOutcome` owns its format.
 """
 
 from repro.parallel.cooperative import (

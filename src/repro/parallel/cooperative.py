@@ -20,8 +20,12 @@ This module implements exactly that scheme so the conjecture can be tested:
   least ``min_relative_gain``, the walker restarts from a perturbed copy of
   it (perturbation keeps the walkers diverse).
 
-The executor is the deterministic inline one (synchronized rounds make the
-scheme well-defined and exactly measurable in iteration time on any host);
+The round loop and the adoption policy live in one place,
+:class:`repro.coop.island.IslandRunner`: the in-process scheme here is one
+island over all walkers with nobody to migrate to, and the cluster scheme
+(``MultiWalkSolver(executor="coop")``) is several islands with a relay
+between them.  Synchronized rounds make the scheme deterministic and
+exactly measurable in iteration time on any host;
 ``benchmarks/bench_abl_cooperation.py`` compares it head-to-head against
 the paper's independent scheme.
 """
@@ -30,16 +34,14 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.session import AdaptiveSearchSession
-from repro.core.termination import TerminationReason
-from repro.csp.permutation import random_partial_reset
-from repro.errors import ParallelError
+from repro.errors import ParallelError, ReproError
 from repro.parallel.results import WalkOutcome
 from repro.parallel.seeding import walk_seeds
 from repro.problems.base import Problem
@@ -51,7 +53,11 @@ __all__ = ["CooperationConfig", "ElitePool", "CooperativeMultiWalk", "Cooperativ
 
 @dataclass(frozen=True)
 class CooperationConfig:
-    """Tuning of the dependent multi-walk scheme.
+    """The local adoption policy of the dependent multi-walk scheme.
+
+    The six fields every island applies to its own walkers, declared and
+    validated here once; :class:`repro.coop.CoopConfig` extends them with
+    the cross-island migration knobs.
 
     Parameters
     ----------
@@ -82,23 +88,23 @@ class CooperationConfig:
     min_relative_gain: float = 0.1
     perturb_fraction: float = 0.05
 
+    #: what invalid values raise (the cluster config raises its own type)
+    _error: ClassVar[type[ReproError]] = ParallelError
+
     def __post_init__(self) -> None:
-        if self.report_interval < 1:
-            raise ParallelError(
-                f"report_interval must be >= 1, got {self.report_interval}"
-            )
-        if self.adopt_interval < 1:
-            raise ParallelError(
-                f"adopt_interval must be >= 1, got {self.adopt_interval}"
-            )
-        if self.pool_size < 1:
-            raise ParallelError(f"pool_size must be >= 1, got {self.pool_size}")
+        self._check_counts("report_interval", "adopt_interval", "pool_size")
         try:
             check_probability("p_adopt", self.p_adopt)
             check_probability("min_relative_gain", self.min_relative_gain)
             check_fraction("perturb_fraction", self.perturb_fraction)
-        except ValueError as err:
-            raise ParallelError(str(err)) from None
+        except (TypeError, ValueError) as err:
+            raise self._error(str(err)) from None
+
+    def _check_counts(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise self._error(f"{name} must be an int >= 1, got {value!r}")
 
 
 class ElitePool:
@@ -209,17 +215,14 @@ class CooperativeResult:
 
 
 class CooperativeMultiWalk:
-    """Dependent multi-walk driver.
+    """Dependent multi-walk driver: one transport-less island, in-process.
 
-    Two executors:
-
-    - ``"inline"`` (default) — synchronized rounds in one process:
-      deterministic, exact iteration-clock measurement; the reference
-      implementation for experiments.
-    - ``"process"`` — real OS processes sharing the elite pool through a
-      :class:`multiprocessing.Manager`; non-deterministic (adoption timing
-      depends on scheduling) but gives true parallelism on multi-core
-      hosts.
+    All ``n_walkers`` form a single :class:`~repro.coop.island.IslandRunner`
+    island that never migrates — synchronized rounds in one process,
+    deterministic, exact iteration-clock measurement; the reference
+    implementation for experiments.  Real parallelism is the same loop
+    hosted per node: ``MultiWalkSolver(executor="coop", cluster=...)``
+    (a :class:`~repro.net.LocalCluster` on one host).
     """
 
     def __init__(
@@ -227,19 +230,11 @@ class CooperativeMultiWalk:
         solver_config: AdaptiveSearchConfig | None = None,
         cooperation: CooperationConfig | None = None,
         *,
-        executor: str = "inline",
         use_problem_defaults: bool = True,
-        mp_context: str | None = None,
     ) -> None:
-        if executor not in ("inline", "process"):
-            raise ParallelError(
-                f"unknown executor {executor!r}; choose 'inline' or 'process'"
-            )
         self.solver_config = solver_config or AdaptiveSearchConfig()
         self.cooperation = cooperation or CooperationConfig()
-        self.executor = executor
         self.use_problem_defaults = use_problem_defaults
-        self.mp_context = mp_context
 
     # ------------------------------------------------------------------
     def solve(
@@ -250,224 +245,46 @@ class CooperativeMultiWalk:
         *,
         max_rounds: int = 1_000_000,
     ) -> CooperativeResult:
-        """Run until one walker solves, every walker finishes, or
-        ``max_rounds`` synchronized rounds elapse (inline executor only)."""
+        """Run until one walker solves, every walker finishes (solver
+        budget included), or ``max_rounds`` synchronized rounds elapse."""
+        # imported here: repro.coop builds on this module's pool and config
+        from repro.coop.island import IslandRunner
+
         if max_rounds < 1:
             raise ParallelError(f"max_rounds must be >= 1, got {max_rounds}")
-        coop = self.cooperation
         config = self.solver_config
         if self.use_problem_defaults:
             config = config.merged_with(problem.default_solver_parameters())
-        if self.executor == "process":
-            return self._solve_process(problem, n_walkers, seed, config)
-
+        # the extra stream drives adoption decisions, apart from every walk
         seeds = walk_seeds(n_walkers + 1, seed)
-        coordinator_rng = as_generator(seeds[-1])
-        sessions = [
-            AdaptiveSearchSession(problem, config, walk_seed)
-            for walk_seed in seeds[:-1]
-        ]
-        pool = ElitePool(coop.pool_size)
-        last_adopt = [0] * n_walkers
-        adoptions = 0
-        import time
-
         t0 = time.perf_counter()
-
-        winner_id: int | None = None
-        rounds = 0
-        active = set(range(n_walkers))
-        while rounds < max_rounds and active and winner_id is None:
-            rounds += 1
-            for walk_id in sorted(active):
-                session = sessions[walk_id]
-                out = session.step(coop.report_interval)
-                if out is TerminationReason.SOLVED:
-                    winner_id = walk_id
-                    break
-                if out is not None:  # budget/restart exhaustion
-                    active.discard(walk_id)
-                    continue
-                # report: one configuration, the paper's minimal transfer
-                pool.offer(session.cost, session.state.config)
-                # adopt: restart from a recorded crossroad
-                if (
-                    session.stats.iterations - last_adopt[walk_id]
-                    >= coop.adopt_interval
-                ):
-                    last_adopt[walk_id] = session.stats.iterations
-                    if coordinator_rng.random() < coop.p_adopt:
-                        elite = pool.best()
-                        if (
-                            elite is not None
-                            and elite[0]
-                            < (1.0 - coop.min_relative_gain) * session.cost
-                        ):
-                            adopted = elite[1]
-                            random_partial_reset(
-                                adopted, coop.perturb_fraction, coordinator_rng
-                            )
-                            session.inject_configuration(adopted)
-                            adoptions += 1
-
-        walks = [
-            WalkOutcome(
-                walk_id=idx,
-                solved=s.solved,
-                cost=s.best_cost,
-                iterations=s.stats.iterations,
-                wall_time=s.elapsed,
-                reason=s.reason if s.reason is not None else TerminationReason.CANCELLED,
-                config=s.best_config if s.solved else None,
-            )
-            for idx, s in enumerate(sessions)
-        ]
-        winner = walks[winner_id] if winner_id is not None else None
+        island = IslandRunner(
+            problem,
+            config,
+            self.cooperation,
+            island=0,
+            walk_ids=range(n_walkers),
+            seeds=seeds[:-1],
+            rng=as_generator(seeds[-1]),
+        ).run(max_rounds)
+        walks = sorted(
+            island.walks + island.unfinished, key=lambda w: w.walk_id
+        )
+        winner = island.winner
         return CooperativeResult(
             solved=winner is not None,
             n_walkers=n_walkers,
             winner=winner,
             walks=walks,
-            rounds=rounds,
+            rounds=island.rounds,
             parallel_iterations=(
                 winner.iterations
                 if winner is not None
                 else max((w.iterations for w in walks), default=0)
             ),
             total_iterations=sum(w.iterations for w in walks),
-            adoptions=adoptions,
-            pool_offers=pool.offers,
-            pool_accepts=pool.accepts,
-            elapsed_time=time.perf_counter() - t0,
-        )
-
-    # ------------------------------------------------------------------
-    def _solve_process(
-        self,
-        problem: Problem,
-        n_walkers: int,
-        seed: SeedLike,
-        config: AdaptiveSearchConfig,
-    ) -> CooperativeResult:
-        """Real-process executor; see class docstring for the trade-offs."""
-        import math
-        import multiprocessing as mp
-        import queue as queue_mod
-        import time
-
-        from repro.parallel.coop_worker import run_cooperative_walk
-
-        coop = self.cooperation
-        coop_params = {
-            "report_interval": coop.report_interval,
-            "adopt_interval": coop.adopt_interval,
-            "p_adopt": coop.p_adopt,
-            "pool_size": coop.pool_size,
-            "min_relative_gain": coop.min_relative_gain,
-            "perturb_fraction": coop.perturb_fraction,
-        }
-        ctx = mp.get_context(self.mp_context)
-        manager = ctx.Manager()
-        t0 = time.perf_counter()
-        try:
-            shared_pool = manager.list()
-            pool_lock = manager.Lock()
-            cancel_event = ctx.Event()
-            result_queue: mp.Queue = ctx.Queue()
-            seeds = walk_seeds(n_walkers, seed)
-            processes = [
-                ctx.Process(
-                    target=run_cooperative_walk,
-                    args=(
-                        walk_id,
-                        problem,
-                        config,
-                        coop_params,
-                        walk_seed,
-                        shared_pool,
-                        pool_lock,
-                        cancel_event,
-                        result_queue,
-                    ),
-                    daemon=True,
-                )
-                for walk_id, walk_seed in enumerate(seeds)
-            ]
-            for proc in processes:
-                proc.start()
-
-            if math.isinf(config.time_limit):
-                deadline = None
-            else:
-                deadline = (
-                    time.monotonic() + config.time_limit * (n_walkers + 1) + 60.0
-                )
-            payloads: dict[int, dict] = {}
-            try:
-                while len(payloads) < n_walkers:
-                    timeout = None
-                    if deadline is not None:
-                        timeout = max(0.1, deadline - time.monotonic())
-                    try:
-                        walk_id, payload = result_queue.get(timeout=timeout)
-                    except queue_mod.Empty:
-                        raise ParallelError(
-                            "cooperative multi-walk timed out: "
-                            f"{n_walkers - len(payloads)} walker(s) never reported"
-                        )
-                    if "error" in payload:
-                        raise ParallelError(
-                            f"walker {walk_id} crashed:\n{payload['error']}"
-                        )
-                    payloads[walk_id] = payload
-            finally:
-                cancel_event.set()
-                for proc in processes:
-                    proc.join(timeout=30.0)
-                for proc in processes:
-                    if proc.is_alive():  # pragma: no cover - defensive
-                        proc.terminate()
-                        proc.join(timeout=5.0)
-            pool_len = len(shared_pool)
-        finally:
-            manager.shutdown()
-
-        walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
-            for walk_id, payload in sorted(payloads.items())
-        ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.iterations)
-            if solved_walks
-            else None
-        )
-        return CooperativeResult(
-            solved=winner is not None,
-            n_walkers=n_walkers,
-            winner=winner,
-            walks=walks,
-            rounds=0,  # rounds are a synchronized-executor notion
-            parallel_iterations=(
-                winner.iterations
-                if winner is not None
-                else max((w.iterations for w in walks), default=0)
-            ),
-            total_iterations=sum(w.iterations for w in walks),
-            adoptions=sum(p.get("adoptions", 0) for p in payloads.values()),
-            pool_offers=pool_len,
-            pool_accepts=pool_len,
+            adoptions=island.stats["adoptions"],
+            pool_offers=island.stats["pool_offers"],
+            pool_accepts=island.stats["pool_accepts"],
             elapsed_time=time.perf_counter() - t0,
         )

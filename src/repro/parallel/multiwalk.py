@@ -2,11 +2,10 @@
 
 ``MultiWalkSolver.solve(problem, n_walkers)`` runs ``k`` independent
 Adaptive Search engines and returns as soon as one solves (process executor)
-or computes the equivalent outcome exactly (inline executor).  A third
-executor, ``"pool"``, borrows long-lived workers from a shared
-:class:`repro.service.SolverService` instead of spawning processes per
-call, amortizing start-up across solves.  See the package docstring for
-when to use which.
+or computes the equivalent outcome exactly (inline executor).  The other
+four executors hand the same ordered seed list to a warm worker pool, the
+vector lane engine, or a coordinator cluster (independent or cooperative);
+see the package docstring for when to use which.
 """
 
 from __future__ import annotations
@@ -15,15 +14,12 @@ import math
 import multiprocessing as mp
 import queue as queue_mod
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.solver import AdaptiveSearch
-from repro.core.termination import TerminationReason
 from repro.errors import ParallelError
 from repro.parallel.results import ParallelResult, WalkOutcome
 from repro.parallel.seeding import walk_seeds
@@ -41,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> parallel)
     from repro.service.scheduler import SolverService
 
 __all__ = ["MultiWalkSolver", "solve_parallel"]
-
-_EXECUTORS = ("inline", "process", "pool", "net", "vector", "coop")
 
 
 class MultiWalkSolver:
@@ -103,9 +97,10 @@ class MultiWalkSolver:
         lanes: int | None = None,
         coop: "CoopConfig | dict | None" = None,
     ) -> None:
-        if executor not in _EXECUTORS:
+        if executor not in self._SOLVERS:
             raise ParallelError(
-                f"unknown executor {executor!r}; choose from {_EXECUTORS}"
+                f"unknown executor {executor!r}; "
+                f"choose from {tuple(self._SOLVERS)}"
             )
         if poll_every < 1:
             raise ParallelError(f"poll_every must be >= 1, got {poll_every}")
@@ -153,9 +148,10 @@ class MultiWalkSolver:
         config = self.config
         if time_limit is not None:
             config = config.replace(time_limit=min(config.time_limit, time_limit))
+        run = self._SOLVERS[self.executor]
         recorder = get_recorder()
         if not recorder.enabled:
-            return self._dispatch(problem, config, seeds, seed=seed)
+            return run(self, problem, config, seeds, "", seed)
         trace_id = new_trace_id()
         with recorder.span(
             "multiwalk.solve",
@@ -163,29 +159,7 @@ class MultiWalkSolver:
             executor=self.executor,
             n_walkers=n_walkers,
         ):
-            return self._dispatch(
-                problem, config, seeds, trace_id=trace_id, seed=seed
-            )
-
-    def _dispatch(
-        self,
-        problem: Problem,
-        config: AdaptiveSearchConfig,
-        seeds: list[np.random.SeedSequence],
-        trace_id: str = "",
-        seed: SeedLike = None,
-    ) -> ParallelResult:
-        if self.executor == "inline":
-            return self._solve_inline(problem, config, seeds, trace_id)
-        if self.executor == "pool":
-            return self._solve_pool(problem, config, seeds)
-        if self.executor == "net":
-            return self._solve_net(problem, config, seeds)
-        if self.executor == "coop":
-            return self._solve_coop(problem, config, seeds, seed)
-        if self.executor == "vector":
-            return self._solve_vector(problem, config, seeds, trace_id)
-        return self._solve_process(problem, config, seeds, trace_id)
+            return run(self, problem, config, seeds, trace_id, seed)
 
     # ------------------------------------------------------------------
     def _solve_pool(
@@ -193,6 +167,8 @@ class MultiWalkSolver:
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
+        trace_id: str,
+        seed: SeedLike,
     ) -> ParallelResult:
         """Run the walks as one job on the shared warm-worker service.
 
@@ -211,53 +187,27 @@ class MultiWalkSolver:
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
+        trace_id: str,
+        seed: SeedLike,
     ) -> ParallelResult:
         """Run the walks as one job on a distributed coordinator cluster.
 
         The full ordered seed list ships to the coordinator, which
         partitions walk *indices* across nodes — so walk ``i`` runs the
         same trajectory as under every other executor, merely on another
-        machine.
-        """
-        from repro.net.client import ClusterClient
-
-        client = self.cluster
-        owned = not isinstance(client, ClusterClient)
-        if owned:
-            client = ClusterClient(client).connect()
-        try:
-            result = client.solve(
-                problem, len(seeds), config=config, seeds=seeds
-            )
-            return result.to_parallel_result()
-        finally:
-            if owned:
-                client.close()
-
-    # ------------------------------------------------------------------
-    def _solve_coop(
-        self,
-        problem: Problem,
-        config: AdaptiveSearchConfig,
-        seeds: list[np.random.SeedSequence],
-        seed: SeedLike = None,
-    ) -> ParallelResult:
-        """Run the walks as one *cooperative* cluster job.
-
-        Identical dispatch path to ``"net"`` except the submit carries the
-        coop scheme: the coordinator turns each node slice into an island
+        machine.  ``"coop"`` is the same dispatch with the coop scheme on
+        the submit: the coordinator turns each node slice into an island
         and relays elite migrations between them.  The original job
         ``seed`` rides along so an unseeded coop config becomes
         deterministic per job.
         """
-        from repro.coop import CoopConfig
         from repro.net.client import ClusterClient
 
         coop = self.coop
-        if coop is None:
+        if self.executor == "coop" and coop is None:
+            from repro.coop import CoopConfig
+
             coop = CoopConfig()
-        elif not isinstance(coop, CoopConfig):
-            coop = CoopConfig.from_wire(coop)
         client = self.cluster
         owned = not isinstance(client, ClusterClient)
         if owned:
@@ -267,7 +217,7 @@ class MultiWalkSolver:
                 problem, len(seeds), seed, config=config, seeds=seeds,
                 coop=coop,
             )
-            return result.to_parallel_result(executor="coop")
+            return result.to_parallel_result(executor=self.executor)
         finally:
             if owned:
                 client.close()
@@ -278,7 +228,8 @@ class MultiWalkSolver:
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
-        trace_id: str = "",
+        trace_id: str,
+        seed: SeedLike,
     ) -> ParallelResult:
         """Run every walk to completion; parallel time = min across walks.
 
@@ -295,36 +246,14 @@ class MultiWalkSolver:
             result = solver.solve(
                 problem, seed=walk_seed, callbacks=callbacks or None
             )
-            walks.append(
-                WalkOutcome(
-                    walk_id=walk_id,
-                    solved=result.solved,
-                    cost=result.cost,
-                    iterations=result.stats.iterations,
-                    wall_time=result.stats.wall_time,
-                    reason=result.reason,
-                    config=result.config if result.solved else None,
-                )
-            )
-        elapsed = stopwatch.stop()
-        solved_walks = [w for w in walks if w.solved]
-        if solved_walks:
-            winner = min(solved_walks, key=lambda w: w.wall_time)
-            wall_time = winner.wall_time + self.launch_overhead
-            solved = True
-        else:
-            winner = None
-            wall_time = max(w.wall_time for w in walks) + self.launch_overhead
-            solved = False
-        return ParallelResult(
-            solved=solved,
-            n_walkers=len(seeds),
-            winner=winner,
-            walks=walks,
-            wall_time=wall_time,
-            elapsed_time=elapsed,
-            executor="inline",
+            walks.append(WalkOutcome.from_result(walk_id, result))
+        result = ParallelResult.from_walks(
+            walks, executor="inline", elapsed_time=stopwatch.stop()
         )
+        if not result.solved:
+            result.wall_time = max(w.wall_time for w in walks)
+        result.wall_time += self.launch_overhead
+        return result
 
     # ------------------------------------------------------------------
     def _solve_vector(
@@ -332,7 +261,8 @@ class MultiWalkSolver:
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
-        trace_id: str = "",
+        trace_id: str,
+        seed: SeedLike,
     ) -> ParallelResult:
         """Advance all walks lock-step as lanes of the vector engine.
 
@@ -341,11 +271,37 @@ class MultiWalkSolver:
         call sites, so walk ``i`` is bit-identical to walk ``i`` under the
         inline/process/pool executors (the property the k=1 equivalence
         suite pins down).  With ``lanes`` set below the walk count the
-        walks split round-robin over several engine processes — the
-        hybrid processes x lanes layout.
+        walks split round-robin over ``ceil(k / lanes)`` engine processes
+        — the hybrid processes x lanes layout.
         """
         if self.lanes is not None and self.lanes < len(seeds):
-            return self._solve_vector_hybrid(problem, config, seeds)
+            from repro.parallel.seeding import partition_walks
+            from repro.parallel.vector_worker import run_vector_slice
+
+            n_procs = -(-len(seeds) // self.lanes)
+            slices = [s for s in partition_walks(len(seeds), n_procs) if s]
+            return self._solve_in_processes(
+                [
+                    (
+                        run_vector_slice,
+                        (
+                            slice_ids,
+                            problem,
+                            config,
+                            [seeds[walk_id] for walk_id in slice_ids],
+                        ),
+                        {
+                            "poll_every_rounds": max(
+                                1, self.poll_every // len(slice_ids)
+                            )
+                        },
+                    )
+                    for slice_ids in slices
+                ],
+                len(seeds),
+                config.time_limit,
+                "vector",
+            )
         from repro.telemetry.vector import vector_telemetry
         from repro.vector.engine import VectorWalkEngine
 
@@ -367,76 +323,91 @@ class MultiWalkSolver:
         elapsed = stopwatch.stop()
         if telemetry is not None:
             telemetry.on_finish(outcome)
-        walks = [
-            WalkOutcome(
-                walk_id=lane,
-                solved=result.solved,
-                cost=result.cost,
-                iterations=result.stats.iterations,
-                wall_time=result.stats.wall_time,
-                reason=result.reason,
-                config=result.config if result.solved else None,
-            )
-            for lane, result in enumerate(outcome.walks)
-        ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time)
-            if solved_walks
-            else None
-        )
-        return ParallelResult(
-            solved=winner is not None,
-            n_walkers=len(seeds),
-            winner=winner,
-            walks=walks,
-            wall_time=winner.wall_time if winner is not None else elapsed,
-            elapsed_time=elapsed,
+        return ParallelResult.from_walks(
+            [
+                WalkOutcome.from_result(lane, result)
+                for lane, result in enumerate(outcome.walks)
+            ],
             executor="vector",
+            elapsed_time=elapsed,
         )
 
-    def _solve_vector_hybrid(
+    # ------------------------------------------------------------------
+    def _solve_process(
         self,
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
+        trace_id: str,
+        seed: SeedLike,
     ) -> ParallelResult:
-        """Hybrid layout: ``ceil(k / lanes)`` processes x ``lanes`` lanes."""
-        from repro.parallel.seeding import partition_walks
-        from repro.parallel.vector_worker import run_vector_slice
+        """One OS process per walk; the first finisher cancels the rest."""
+        milestone_every = get_recorder().milestone_every if trace_id else 0
+        return self._solve_in_processes(
+            [
+                (
+                    run_walk,
+                    (walk_id, problem, config, walk_seed),
+                    {
+                        "poll_every": self.poll_every,
+                        "trace_id": trace_id,
+                        "milestone_every": milestone_every,
+                    },
+                )
+                for walk_id, walk_seed in enumerate(seeds)
+            ],
+            len(seeds),
+            config.time_limit,
+            "process",
+        )
 
-        assert self.lanes is not None
-        n_walks = len(seeds)
-        n_procs = -(-n_walks // self.lanes)
-        slices = [s for s in partition_walks(n_walks, n_procs) if s]
+    def _solve_in_processes(
+        self,
+        targets: list[tuple[Any, tuple, dict[str, Any]]],
+        n_walks: int,
+        time_limit: float,
+        executor: str,
+    ) -> ParallelResult:
+        """Spawn one daemon process per ``(target, args, kwargs)`` and
+        gather ``n_walks`` walk reports — the only process-gather loop.
+
+        Every target additionally receives ``cancel_event`` and
+        ``result_queue`` keyword arguments and must enqueue exactly one
+        ``(walk_id, payload)`` per walk it owns: a
+        :meth:`WalkOutcome.to_payload` dict (plus optional ``telemetry``
+        records, ingested here) or ``{"error": traceback}``.
+        """
         ctx = mp.get_context(self.mp_context)
         cancel_event = ctx.Event()
         result_queue: mp.Queue = ctx.Queue()
+        recorder = get_recorder()
         stopwatch = Stopwatch().start()
         processes = [
             ctx.Process(
-                target=run_vector_slice,
-                args=(
-                    slice_ids,
-                    problem,
-                    config,
-                    [seeds[walk_id] for walk_id in slice_ids],
-                    cancel_event,
-                    result_queue,
-                    max(1, self.poll_every // max(1, len(slice_ids))),
-                ),
+                target=target,
+                args=args,
+                kwargs={
+                    **kwargs,
+                    "cancel_event": cancel_event,
+                    "result_queue": result_queue,
+                },
                 daemon=True,
             )
-            for slice_ids in slices
+            for target, args, kwargs in targets
         ]
         for proc in processes:
             proc.start()
-        if math.isinf(config.time_limit):
+
+        # queue-drain deadline: every walk ends by solving, budget
+        # exhaustion, or cancellation; leave generous slack beyond the
+        # configured time limit for scheduling noise on oversubscribed hosts
+        if math.isinf(time_limit):
             deadline = None
         else:
             deadline = (
-                time.monotonic() + config.time_limit * (len(slices) + 1) + 60.0
+                time.monotonic() + time_limit * (len(processes) + 1) + 60.0
             )
+
         payloads: dict[int, dict] = {}
         first_solve_time: float | None = None
         try:
@@ -448,117 +419,8 @@ class MultiWalkSolver:
                     walk_id, payload = result_queue.get(timeout=timeout)
                 except queue_mod.Empty:
                     raise ParallelError(
-                        f"vector multi-walk timed out: "
-                        f"{n_walks - len(payloads)} of {n_walks} walks "
-                        "never reported"
-                    )
-                if "error" in payload:
-                    raise ParallelError(
-                        f"vector slice crashed on walk {walk_id}:\n"
-                        f"{payload['error']}"
-                    )
-                payloads[walk_id] = payload
-                if payload["solved"] and first_solve_time is None:
-                    first_solve_time = stopwatch.elapsed
-                    cancel_event.set()
-        finally:
-            cancel_event.set()
-            for proc in processes:
-                proc.join(timeout=30.0)
-            for proc in processes:
-                if proc.is_alive():  # pragma: no cover - defensive cleanup
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-        elapsed = stopwatch.stop()
-        walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
-            for walk_id, payload in sorted(payloads.items())
-        ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time)
-            if solved_walks
-            else None
-        )
-        return ParallelResult(
-            solved=winner is not None,
-            n_walkers=n_walks,
-            winner=winner,
-            walks=walks,
-            wall_time=(
-                first_solve_time if first_solve_time is not None else elapsed
-            ),
-            elapsed_time=elapsed,
-            executor="vector",
-        )
-
-    # ------------------------------------------------------------------
-    def _solve_process(
-        self,
-        problem: Problem,
-        config: AdaptiveSearchConfig,
-        seeds: list[np.random.SeedSequence],
-        trace_id: str = "",
-    ) -> ParallelResult:
-        ctx = mp.get_context(self.mp_context)
-        cancel_event = ctx.Event()
-        result_queue: mp.Queue = ctx.Queue()
-        recorder = get_recorder()
-        stopwatch = Stopwatch().start()
-        processes = [
-            ctx.Process(
-                target=run_walk,
-                args=(
-                    walk_id,
-                    problem,
-                    config,
-                    walk_seed,
-                    cancel_event,
-                    result_queue,
-                    self.poll_every,
-                    trace_id,
-                    recorder.milestone_every if trace_id else 0,
-                ),
-                daemon=True,
-            )
-            for walk_id, walk_seed in enumerate(seeds)
-        ]
-        for proc in processes:
-            proc.start()
-
-        # queue-drain deadline: every walk ends by solving, budget
-        # exhaustion, or cancellation; leave generous slack beyond the
-        # configured time limit for scheduling noise on oversubscribed hosts
-        if math.isinf(config.time_limit):
-            deadline = None
-        else:
-            deadline = time.monotonic() + config.time_limit * (len(seeds) + 1) + 60.0
-
-        payloads: dict[int, dict] = {}
-        first_solve_time: float | None = None
-        try:
-            while len(payloads) < len(seeds):
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.1, deadline - time.monotonic())
-                try:
-                    walk_id, payload = result_queue.get(timeout=timeout)
-                except queue_mod.Empty:
-                    raise ParallelError(
-                        f"multi-walk timed out: {len(seeds) - len(payloads)} of "
-                        f"{len(seeds)} walks never reported"
+                        f"multi-walk timed out: {n_walks - len(payloads)} of "
+                        f"{n_walks} walks never reported"
                     )
                 if "error" in payload:
                     raise ParallelError(
@@ -584,36 +446,25 @@ class MultiWalkSolver:
                     proc.terminate()
                     proc.join(timeout=5.0)
 
-        elapsed = stopwatch.stop()
-        walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
-            for walk_id, payload in sorted(payloads.items())
-        ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time) if solved_walks else None
+        return ParallelResult.from_walks(
+            [
+                WalkOutcome.from_payload(walk_id, payload)
+                for walk_id, payload in sorted(payloads.items())
+            ],
+            executor=executor,
+            elapsed_time=stopwatch.stop(),
+            wall_time=first_solve_time,
         )
-        return ParallelResult(
-            solved=winner is not None,
-            n_walkers=len(seeds),
-            winner=winner,
-            walks=walks,
-            wall_time=first_solve_time if first_solve_time is not None else elapsed,
-            elapsed_time=elapsed,
-            executor="process",
-        )
+
+    #: ``executor=`` string -> the method that runs it
+    _SOLVERS = {
+        "inline": _solve_inline,
+        "process": _solve_process,
+        "pool": _solve_pool,
+        "net": _solve_net,
+        "vector": _solve_vector,
+        "coop": _solve_net,
+    }
 
 
 def solve_parallel(

@@ -14,6 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
+from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
 
 __all__ = ["run_vector_slice"]
@@ -61,23 +62,9 @@ def run_vector_slice(
         if outcome.solved:
             # completion notification: the only inter-process communication
             cancel_event.set()
-        for lane, walk_id in enumerate(walk_ids):
-            result = outcome.walks[lane]
-            result_queue.put(
-                (
-                    walk_id,
-                    {
-                        "solved": result.solved,
-                        "cost": result.cost,
-                        "iterations": result.stats.iterations,
-                        "wall_time": result.stats.wall_time,
-                        "reason": result.reason.name,
-                        "config": (
-                            result.config.tolist() if result.solved else None
-                        ),
-                    },
-                )
-            )
+        for walk_id, result in zip(walk_ids, outcome.walks):
+            report = WalkOutcome.from_result(walk_id, result)
+            result_queue.put((walk_id, report.to_payload()))
     except Exception:  # pragma: no cover - defensive: surface worker crashes
         import traceback
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.solver import AdaptiveSearch
+from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
 
 __all__ = ["CancelCheckCallback", "run_walk"]
@@ -79,14 +80,7 @@ def run_walk(
         if result.solved:
             # completion notification: the only inter-process communication
             cancel_event.set()
-        payload = {
-            "solved": result.solved,
-            "cost": result.cost,
-            "iterations": result.stats.iterations,
-            "wall_time": result.stats.wall_time,
-            "reason": result.reason.name,
-            "config": result.config.tolist() if result.solved else None,
-        }
+        payload = WalkOutcome.from_result(walk_id, result).to_payload()
         if ring is not None:
             payload["telemetry"] = ring.drain()
         result_queue.put((walk_id, payload))

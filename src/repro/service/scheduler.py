@@ -36,7 +36,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.termination import TerminationReason
 from repro.errors import ParallelError
 from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
@@ -131,22 +130,6 @@ class _JobState:
         self.crashes = 0
         self.error: str | None = None
         self.trace = job.trace
-
-
-def _outcome_from_payload(walk_id: int, payload: dict[str, Any]) -> WalkOutcome:
-    return WalkOutcome(
-        walk_id=walk_id,
-        solved=payload["solved"],
-        cost=payload["cost"],
-        iterations=payload["iterations"],
-        wall_time=payload["wall_time"],
-        reason=TerminationReason[payload["reason"]],
-        config=(
-            np.asarray(payload["config"], dtype=np.int64)
-            if payload["config"] is not None
-            else None
-        ),
-    )
 
 
 class SolverService:
@@ -629,7 +612,7 @@ class SolverService:
             if stale:
                 continue
             assert state is not None
-            outcome = _outcome_from_payload(walk_id, payload)
+            outcome = WalkOutcome.from_payload(walk_id, payload)
             state.outcomes[walk_id] = outcome
             state.outstanding.discard(walk_id)
             now = time.monotonic()

@@ -54,12 +54,12 @@ import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.solver import AdaptiveSearch
+from repro.parallel.results import WalkOutcome
 from repro.telemetry.events import TraceContext
 
 __all__ = [
     "WalkTask",
     "GenerationCancelCallback",
-    "walk_payload",
     "service_worker_main",
 ]
 
@@ -146,24 +146,71 @@ class _FaultCallback:
         return None
 
 
-def walk_payload(result: Any) -> dict[str, Any]:
-    """Reduce a :class:`SolveResult` to the picklable walk-report dict.
+def _run_task(
+    worker_id: int,
+    task: WalkTask,
+    problem: Any,
+    cancel_generations: Any,
+    progress: Any,
+) -> dict[str, Any]:
+    """Run one walk task to its report payload.
 
-    The configuration ships whether or not the walk solved —
-    ``result.config`` is the best configuration *seen*, which is what
-    graceful degradation (deadline expiry, partial cluster loss) returns
-    to the client as best-so-far.
+    A function of its own so that nothing here — solver, callbacks,
+    result — still references the problem once the task is done: a
+    shared-memory problem's mapping can only close after the last array
+    aliasing it is gone (see the shutdown branch of the worker loop).
     """
-    return {
-        "solved": result.solved,
-        "cost": result.cost,
-        "iterations": result.stats.iterations,
-        "wall_time": result.stats.wall_time,
-        "reason": result.reason.name,
-        "config": (
-            result.config.tolist() if result.config is not None else None
-        ),
-    }
+    fault = task.fault
+    if fault is not None and fault.at_iteration <= 0:
+        # pre-solve faults fire deterministically even for walks
+        # whose budget is smaller than one callback interval
+        if fault.action == "exit":
+            os._exit(3)
+        if fault.action == "raise":
+            raise RuntimeError(
+                "chaos: injected walk crash before the first iteration"
+            )
+    solver = AdaptiveSearch(task.config)
+    callbacks: list[Any] = [
+        GenerationCancelCallback(
+            cancel_generations, task.slot, task.generation,
+            task.poll_every,
+            progress=progress, progress_index=worker_id,
+        )
+    ]
+    if fault is not None:
+        callbacks.append(_FaultCallback(fault))
+    ring = None
+    if task.trace is not None:
+        # traced walk: record telemetry into a bounded ring and
+        # ship it home with the result (see WalkTask docstring)
+        from repro.telemetry.recorder import Recorder
+        from repro.telemetry.sinks import RingBufferSink
+        from repro.telemetry.solver import TelemetryCallback
+
+        ring = RingBufferSink()
+        recorder = Recorder(
+            sinks=[ring],
+            proc=f"worker-{worker_id}",
+            milestone_every=task.milestone_every,
+        )
+        callbacks.append(
+            TelemetryCallback(
+                recorder,
+                trace_id=task.trace.trace_id,
+                job_id=task.trace.job_id,
+                walk_id=task.trace.walk_id,
+            )
+        )
+    result = solver.solve(problem, seed=task.seed, callbacks=callbacks)
+    # best_so_far: graceful degradation returns an unsolved walk's best
+    # configuration to the client
+    payload = WalkOutcome.from_result(
+        task.walk_id, result, best_so_far=True
+    ).to_payload()
+    if ring is not None:
+        payload["telemetry"] = ring.drain()
+    return payload
 
 
 def service_worker_main(
@@ -186,6 +233,9 @@ def service_worker_main(
         message = inbox.get()
         kind = message[0]
         if kind == "shutdown":
+            # the cached problems' arrays alias the mapped segments: drop
+            # them first, or the mappings refuse to close (BufferError)
+            problems.clear()
             for att in attachments:
                 att.detach()
             break
@@ -209,56 +259,10 @@ def service_worker_main(
             continue
         task: WalkTask = message[1]
         try:
-            fault = task.fault
-            if fault is not None and fault.at_iteration <= 0:
-                # pre-solve faults fire deterministically even for walks
-                # whose budget is smaller than one callback interval
-                if fault.action == "exit":
-                    os._exit(3)
-                if fault.action == "raise":
-                    raise RuntimeError(
-                        "chaos: injected walk crash before the first "
-                        "iteration"
-                    )
-            problem = problems[task.problem_id]
-            solver = AdaptiveSearch(task.config)
-            callbacks: list[Any] = [
-                GenerationCancelCallback(
-                    cancel_generations, task.slot, task.generation,
-                    task.poll_every,
-                    progress=progress, progress_index=worker_id,
-                )
-            ]
-            if fault is not None:
-                callbacks.append(_FaultCallback(fault))
-            ring = None
-            if task.trace is not None:
-                # traced walk: record telemetry into a bounded ring and
-                # ship it home with the result (see WalkTask docstring)
-                from repro.telemetry.recorder import Recorder
-                from repro.telemetry.sinks import RingBufferSink
-                from repro.telemetry.solver import TelemetryCallback
-
-                ring = RingBufferSink()
-                recorder = Recorder(
-                    sinks=[ring],
-                    proc=f"worker-{worker_id}",
-                    milestone_every=task.milestone_every,
-                )
-                callbacks.append(
-                    TelemetryCallback(
-                        recorder,
-                        trace_id=task.trace.trace_id,
-                        job_id=task.trace.job_id,
-                        walk_id=task.trace.walk_id,
-                    )
-                )
-            result = solver.solve(
-                problem, seed=task.seed, callbacks=callbacks
+            payload = _run_task(
+                worker_id, task, problems[task.problem_id],
+                cancel_generations, progress,
             )
-            payload = walk_payload(result)
-            if ring is not None:
-                payload["telemetry"] = ring.drain()
         except Exception:
             import traceback
 

@@ -8,6 +8,7 @@ cancellation — without a coordinator.
 
 import queue
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,37 @@ class TestRunLoop:
         assert outcome.cancelled
         assert outcome.walks == []
         assert outcome.winner is None
+
+    def test_lone_island_never_waits_on_a_migration(self):
+        """No transport, nobody to migrate to: the 5 s migration timeout
+        must not be sat out once per round."""
+        runner = IslandRunner(
+            make_problem("magic_square", n=12),
+            AdaptiveSearchConfig(max_iterations=10_000),
+            CoopConfig(
+                report_interval=50,
+                migration_interval=1,
+                migration_timeout=5.0,
+                seed=7,
+            ),
+            island=0,
+            walk_ids=[0, 1],
+            seeds=_seeds(2),
+        )
+        started = time.perf_counter()
+        outcome = runner.run(max_rounds=3)
+        assert time.perf_counter() - started < 1.0
+        assert outcome.rounds == 3
+        assert outcome.stats["reports_sent"] == 0
+        assert outcome.stats["migrations_lost"] == 0
+        assert outcome.stats["pool_offers"] == 6
+        # nobody finished in three rounds: all still searching
+        assert outcome.walks == [] and outcome.winner is None
+        assert [w.walk_id for w in outcome.unfinished] == [0, 1]
+        assert all(
+            w.iterations == 150 and w.reason is TerminationReason.CANCELLED
+            for w in outcome.unfinished
+        )
 
     def test_solvable_island_wins(self):
         problem = make_problem("magic_square", n=4)

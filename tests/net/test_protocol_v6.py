@@ -6,25 +6,21 @@ Three concerns:
    round-trip through the codec, blobs included;
 2. damaged v6 frames die cleanly (hypothesis fuzz, same harness as the
    v3 CRC tests in ``test_protocol_fuzz.py``);
-3. the v6 handshake negotiates *down*: a v5 peer is accepted (welcome
-   carries ``negotiated: 5``), anything below the window is rejected,
-   and cooperative submits are refused with a clear error while any
-   live node speaks < v6.
+3. the handshake is strict: peers are built from one tree, so any
+   ``protocol`` other than the integer ``PROTOCOL_VERSION`` is rejected
+   with an error naming both versions.
 """
 
 import socket
-import time
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coop import CoopConfig
 from repro.errors import NetError
 from repro.net import LocalCluster
 from repro.net.protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     Message,
     decode_frame_body,
@@ -34,7 +30,6 @@ from repro.net.protocol import (
     send_message,
     unpickle_blob,
 )
-from repro.problems import make_problem
 
 
 def roundtrip(message: Message) -> Message:
@@ -50,9 +45,8 @@ def roundtrip(message: Message) -> Message:
 
 class TestVersionWindow:
     def test_v6_window(self):
-        # v7 widened the top of the window; v6 frames must stay inside it
+        # the v6 frames belong to the one version every peer speaks
         assert PROTOCOL_VERSION >= 6
-        assert MIN_PROTOCOL_VERSION <= 6
 
 
 class TestV6FrameCodec:
@@ -212,14 +206,23 @@ def _handshake(cluster, hello_payload):
 
 @pytest.mark.slow
 class TestNegotiateDown:
-    def test_v5_client_is_welcomed_with_negotiated_5(self, cluster):
-        sock, welcome = _handshake(
-            cluster, {"role": "client", "protocol": 5}
+    """The negotiate-down window is retired: one version, strict reject."""
+
+    @pytest.mark.parametrize(
+        "version", [5, 6, PROTOCOL_VERSION + 1, str(PROTOCOL_VERSION), None]
+    )
+    def test_any_other_version_is_rejected_naming_both(self, cluster, version):
+        sock, reply = _handshake(
+            cluster, {"role": "node", "name": "odd", "protocol": version}
         )
         try:
-            assert welcome is not None and welcome.type == "welcome"
-            assert welcome["protocol"] == PROTOCOL_VERSION
-            assert welcome["negotiated"] == 5
+            assert reply is not None and reply.type == "reject"
+            assert reply["protocol"] == PROTOCOL_VERSION
+            assert "mismatch" in reply["error"]
+            assert f"speaks {PROTOCOL_VERSION}," in reply["error"]
+            assert f"peer sent {version!r}" in reply["error"]
+            # graceful close: the reject was readable, then a clean EOF
+            assert recv_message(sock) is None
         finally:
             sock.close()
 
@@ -228,7 +231,7 @@ class TestNegotiateDown:
         try:
             assert reply is not None and reply.type == "reject"
             assert "mismatch" in reply["error"]
-            assert reply["min_protocol"] == MIN_PROTOCOL_VERSION
+            assert "min_protocol" not in reply.fields
         finally:
             sock.close()
 
@@ -240,46 +243,12 @@ class TestNegotiateDown:
         finally:
             sock.close()
 
-    def test_coop_submit_refused_while_a_node_speaks_v5(self, cluster):
-        # register a fake v5 node, then ask for a cooperative job
+    def test_current_version_is_welcomed_without_negotiation(self, cluster):
         sock, welcome = _handshake(
-            cluster,
-            {
-                "role": "node",
-                "name": "stale-node",
-                "capacity": 1,
-                "protocol": 5,
-            },
+            cluster, {"role": "client", "protocol": PROTOCOL_VERSION}
         )
         try:
             assert welcome is not None and welcome.type == "welcome"
-            assert welcome["negotiated"] == 5
-            client = cluster.client()
-            problem = make_problem("magic_square", n=5)
-            handle = client.submit(
-                problem, 2, seed=1, coop=CoopConfig(topology="ring")
-            )
-            with pytest.raises(NetError, match="stale-node"):
-                handle.result(timeout=30)
+            assert welcome.fields == {"protocol": PROTOCOL_VERSION}
         finally:
             sock.close()
-        # wait for the coordinator to reap the stale node (EOF-driven,
-        # but asynchronous), then both plain and cooperative jobs run
-        # again on the remaining v6 node
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            nodes = client.stats()["nodes"]
-            if all(n.get("name") != "stale-node" for n in nodes):
-                break
-            time.sleep(0.05)
-        result = client.solve(problem, 1, seed=1, timeout=120)
-        assert result.solved
-        coop_result = client.solve(
-            problem,
-            2,
-            seed=1,
-            coop=CoopConfig(topology="ring", report_interval=32),
-            timeout=120,
-        )
-        assert coop_result.solved
-        assert coop_result.coop["islands"] == 1

@@ -6,10 +6,10 @@ Mirrors the v6 test layout, three concerns again:
    round-trip through the codec;
 2. damaged v7 frames die cleanly (hypothesis fuzz, same harness as the
    v3 CRC tests in ``test_protocol_fuzz.py``);
-3. the handshake window: a v6 node still negotiates *down* against a v7
-   leader, but the ``replica`` role is v7-only — a v6 standby is
-   rejected with the minimum version it must speak, and a proper v7
-   replica hello gets the welcome + snapshot stream.
+3. the replica handshake: a standby speaking another version is
+   rejected like any other peer (strict single version, see
+   ``test_protocol_v6.py``), and a proper replica hello gets the welcome
+   + snapshot stream.
 """
 
 import socket
@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import NetError
 from repro.net import LocalCluster
 from repro.net.protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     Message,
     decode_frame_body,
@@ -46,7 +45,6 @@ def roundtrip(message: Message) -> Message:
 class TestVersionWindow:
     def test_v7_window(self):
         assert PROTOCOL_VERSION == 7
-        assert MIN_PROTOCOL_VERSION == 5
 
 
 class TestV7FrameCodec:
@@ -168,28 +166,12 @@ def _handshake(cluster, hello_payload):
 
 @pytest.mark.slow
 class TestReplicaHandshake:
-    def test_v6_node_negotiates_down_against_v7_leader(self, cluster):
-        sock, welcome = _handshake(
-            cluster,
-            {
-                "role": "node",
-                "name": "old-node",
-                "capacity": 1,
-                "protocol": 6,
-            },
-        )
-        try:
-            assert welcome is not None and welcome.type == "welcome"
-            assert welcome["protocol"] == PROTOCOL_VERSION
-            assert welcome["negotiated"] == 6
-        finally:
-            sock.close()
-
     def test_v6_replica_hello_is_rejected(self, cluster):
         sock, reply = _handshake(cluster, {"role": "replica", "protocol": 6})
         try:
             assert reply is not None and reply.type == "reject"
-            assert reply["min_protocol"] == 7
+            assert reply["protocol"] == PROTOCOL_VERSION
+            assert "peer sent 6" in reply["error"]
         finally:
             sock.close()
 
@@ -204,7 +186,7 @@ class TestReplicaHandshake:
         )
         try:
             assert welcome is not None and welcome.type == "welcome"
-            assert welcome["negotiated"] == PROTOCOL_VERSION
+            assert welcome["protocol"] == PROTOCOL_VERSION
             snapshot = recv_message(sock)
             assert snapshot is not None
             assert snapshot.type == "replica_snapshot"

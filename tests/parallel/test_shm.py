@@ -162,7 +162,8 @@ class TestResourceTrackerSilence:
     def test_pool_run_emits_no_tracker_noise(self):
         """End-to-end subprocess run: a pool solves through shm problems,
         shuts down, and the interpreter exits without resource_tracker
-        KeyErrors or leaked-object warnings on stderr."""
+        KeyErrors or leaked-object warnings on stderr — and every worker
+        closes its mapping cleanly (exit 0, no BufferError traceback)."""
         code = (
             "from repro.core.config import AdaptiveSearchConfig\n"
             "from repro.problems import CostasProblem\n"
@@ -172,6 +173,8 @@ class TestResourceTrackerSilence:
             "    r = service.solve(CostasProblem(8), 2, seed=0, config=cfg,\n"
             "                      timeout=120)\n"
             "    assert r.solved\n"
+            "    workers = service._pool.live_processes()\n"
+            "assert [w.exitcode for w in workers] == [0, 0]\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -183,3 +186,4 @@ class TestResourceTrackerSilence:
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "KeyError" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
+        assert proc.stderr == ""
