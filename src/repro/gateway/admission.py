@@ -277,6 +277,12 @@ class WalkerPlanner:
     ``speedup(k) / k >= min_efficiency``.  Before enough evidence exists
     (or when fitting fails on degenerate samples) the plan is
     ``default_walkers``.
+
+    Recording is an append: the fit (milliseconds to a fifth of a second,
+    depending on which family wins) runs when a plan, a fitted family or
+    the stats are next *asked for*, over the samples held by then.  The
+    gateway records every solved job on its event loop, so a job that
+    names its own ``n_walkers`` never pays for a fit.
     """
 
     def __init__(
@@ -305,11 +311,14 @@ class WalkerPlanner:
         self._samples: dict[str, list[float]] = {}
         self._plans: dict[str, int] = {}
         self._fits: dict[str, str] = {}
+        #: families with samples recorded since their last fit
+        self._stale: set[str] = set()
 
     def record(
         self, family: str, wall_time: float, size: Optional[int] = None
     ) -> None:
-        """Record one completed job's wall time and refresh the plan.
+        """Record one completed job's wall time (the plan is refreshed
+        when next asked for).
 
         ``size`` is accepted for interface parity with
         :class:`PredictivePlanner`; this planner models whole families.
@@ -323,9 +332,13 @@ class WalkerPlanner:
             # instances tenants currently submit
             del samples[: len(samples) - self.max_samples]
         if len(samples) >= self.min_samples:
-            self._refit(family)
+            self._stale.add(family)
 
     def _refit(self, family: str) -> None:
+        """Bring a stale family's plan up to date with its samples."""
+        if family not in self._stale:
+            return
+        self._stale.discard(family)
         try:
             fit = best_fit(self._samples[family])
         except ValueError:
@@ -355,6 +368,7 @@ class WalkerPlanner:
     ) -> int:
         """The current walker-count recommendation for ``family``
         (``size``/``deadline`` ignored — see :class:`PredictivePlanner`)."""
+        self._refit(family)
         return self._plans.get(family, self.default_walkers)
 
     def job_cost(
@@ -370,6 +384,7 @@ class WalkerPlanner:
 
     def fitted_family(self, family: str) -> Optional[str]:
         """Which distribution family the plan is based on (None = default)."""
+        self._refit(family)
         return self._fits.get(family)
 
     def stats(self) -> dict[str, dict[str, object]]:
@@ -377,7 +392,7 @@ class WalkerPlanner:
             family: {
                 "samples": len(samples),
                 "plan": self.plan(family),
-                "fit": self._fits.get(family),
+                "fit": self.fitted_family(family),
             }
             for family, samples in sorted(self._samples.items())
         }

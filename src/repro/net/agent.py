@@ -4,16 +4,19 @@ A :class:`NodeAgent` dials out to the coordinator, introduces itself with a
 versioned handshake, and then turns ``assign`` frames into real work on its
 local warm :class:`~repro.service.SolverService` (the PR 2 persistent
 worker pool — workers are spawned once per agent, problems are shipped to
-each worker once per job, and walks start warm).  Each assigned walk
-becomes one single-walk local job carrying its exact
-:class:`~numpy.random.SeedSequence`, so a walk executes the identical
-trajectory it would have executed on any other node or on a single host.
+each worker once per job, and walks start warm).  One ``assign`` becomes
+one local job whose walks go by their cluster-wide ids and carry their
+exact :class:`~numpy.random.SeedSequence` — the local scheduler deals them
+over the pool (as vector lanes where the problem has batched kernels), and
+a walk executes the identical trajectory it would have executed on any
+other node or on a single host.
 
 Back-traffic is two streams multiplexed on the one connection:
 
-- ``walk_result`` frames as individual walks finish (streamed, not
-  batched — the coordinator's first-finisher-wins decision needs the
-  earliest solve as soon as it exists), and
+- one ``walk_result`` frame per walk, streamed as the local job's slices
+  finish, not batched at its end (the coordinator's first-finisher-wins
+  decision needs the earliest solve as soon as it exists, and a straggler
+  must not hold its finished siblings back), and
 - periodic ``heartbeat`` frames carrying the local service's
   :meth:`~repro.service.metrics.MetricsSnapshot.to_json` load snapshot,
   which double as the liveness signal for the coordinator's failure
@@ -23,11 +26,13 @@ Cancellation: a ``cancel(job_id, generation)`` frame cancels every local
 walk of that job with assignment generation ``<= generation`` (the
 job-generation token at cluster scope); results of walks that were
 cancelled locally are *not* reported — and should one slip out anyway the
-coordinator discards it as stale.  Crash handling is layered: a walk that
-crashes locally is retried by the local service's
+coordinator discards it as stale.  Crash handling is layered: a slice of
+walks that crashes locally is retried by the local service's
 :class:`~repro.service.jobs.RetryPolicy`; only when that budget is spent
-does the agent report the walk as failed, and only the *node* dying moves
-work to another machine (the coordinator's re-dispatch).
+does the agent report the assign's unfinished walks as failed, and only
+the *node* dying moves work to another machine (the coordinator's
+re-dispatch).  A hedged or re-dispatched walk arrives as a later assign
+of its own and is simply another local job.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.coop import CoopConfig, IslandRunner, MigrantBatch
 from repro.core.config import AdaptiveSearchConfig
+from repro.core.termination import TerminationReason
 from repro.errors import NetError
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -61,22 +67,25 @@ from repro.telemetry.recorder import Recorder
 __all__ = ["NodeAgent"]
 
 
-class _Slice:
-    """One assignment of walk ids for one (job, generation)."""
+class _Assign:
+    """One assign frame's walks, running as one local job."""
 
-    def __init__(self, job_id: int, generation: int) -> None:
+    def __init__(
+        self, job_id: int, generation: int, walk_ids: list[int], handle: Any
+    ) -> None:
         self.job_id = job_id
         self.generation = generation
-        self.handles: dict[int, Any] = {}  # walk_id -> local JobHandle
-        self.reported: set[int] = set()
+        self.walk_ids = walk_ids
+        self.handle = handle  # the local JobHandle
+        self.reported = 0  # how many of handle.outcomes() were handled
         self.cancelled = False
 
 
 class _Island:
     """One hosted island (protocol v6 cooperative assignment).
 
-    Unlike independent walks — which become single-walk jobs on the warm
-    worker pool — an island is one dedicated thread driving resumable
+    Unlike independent walks — which become a job on the warm worker
+    pool — an island is one dedicated thread driving resumable
     sessions in synchronized rounds: the round barrier needs all of the
     island's walkers advancing together, which the pool's independent
     completion model cannot express.
@@ -222,7 +231,8 @@ class NodeAgent:
         self._send_lock = asyncio.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._tasks: list[asyncio.Task] = []
-        self._slices: dict[tuple[int, int], _Slice] = {}
+        #: (job_id, generation, first walk id) -> in-flight assign
+        self._assigns: dict[tuple[int, int, int], _Assign] = {}
         #: (job_id, island id) -> hosted island thread (protocol v6)
         self._islands: dict[tuple[int, int], _Island] = {}
         self._cancelled: dict[int, int] = {}  # job_id -> max cancelled gen
@@ -356,10 +366,9 @@ class NodeAgent:
                 self._writer.transport.abort()
             else:
                 self._writer.close()
-        for slice_state in self._slices.values():
-            for handle in slice_state.handles.values():
-                handle.cancel()
-        self._slices.clear()
+        for assign in self._assigns.values():
+            assign.handle.cancel()
+        self._assigns.clear()
         for island_state in self._islands.values():
             island_state.cancel.set()
         for island_state in self._islands.values():
@@ -452,10 +461,9 @@ class NodeAgent:
                 and self._writer.transport is not None
             ):
                 self._writer.transport.abort()
-            for slice_state in self._slices.values():
-                for handle in slice_state.handles.values():
-                    handle.cancel()
-            self._slices.clear()
+            for assign in self._assigns.values():
+                assign.handle.cancel()
+            self._assigns.clear()
             for island_state in self._islands.values():
                 island_state.cancel.set()
             self._islands.clear()
@@ -512,31 +520,33 @@ class NodeAgent:
         # protocol v5: the cluster-level priority orders this node's own
         # dispatch queue too, so a premium job overtakes queued batch work
         priority = int(message.get("priority", 0) or 0)
-        slice_state = self._slices.setdefault(
-            (job_id, generation), _Slice(job_id, generation)
-        )
+        held = {
+            walk_id
+            for assign in self._assigns.values()
+            if (assign.job_id, assign.generation) == (job_id, generation)
+            for walk_id in assign.walk_ids
+        }
+        walk_ids = [w for w in message["walk_ids"] if w not in held]
+        if not walk_ids:
+            return  # duplicate assign (idempotent)
         assert self._service is not None
-        for walk_id in message["walk_ids"]:
-            if walk_id in slice_state.handles:
-                continue  # duplicate assign (idempotent)
-            # each walk is its own single-walk local job: completions
-            # stream out individually and cancellation stays per-walk;
-            # the trace context carries the *cluster* job/walk ids so the
-            # local scheduler and pool workers stamp cluster-scope events
-            slice_state.handles[walk_id] = self._service.submit_job(
-                Job(
-                    problem=problem,
-                    n_walkers=1,
-                    seeds=[seeds[walk_id]],
-                    config=config,
-                    priority=priority,
-                    trace=(
-                        TraceContext(trace_id, job_id, walk_id)
-                        if trace_id
-                        else None
-                    ),
-                )
+        # the walks keep their cluster-wide ids inside the local job, and
+        # the trace context carries the cluster job id, so the local
+        # scheduler and pool workers stamp cluster-scope events
+        handle = self._service.submit_job(
+            Job(
+                problem=problem,
+                n_walkers=len(walk_ids),
+                seeds=[seeds[walk_id] for walk_id in walk_ids],
+                walk_ids=walk_ids,
+                config=config,
+                priority=priority,
+                trace=TraceContext(trace_id, job_id) if trace_id else None,
             )
+        )
+        self._assigns[(job_id, generation, walk_ids[0])] = _Assign(
+            job_id, generation, walk_ids, handle
+        )
 
     # ------------------------------------------------------------------
     # cooperative islands (protocol v6)
@@ -702,12 +712,10 @@ class NodeAgent:
         generation = message["generation"]
         previous = self._cancelled.get(job_id, -1)
         self._cancelled[job_id] = max(previous, generation)
-        for (slice_job, slice_gen), slice_state in self._slices.items():
-            if slice_job == job_id and slice_gen <= generation:
-                slice_state.cancelled = True
-                for walk_id, handle in slice_state.handles.items():
-                    if walk_id not in slice_state.reported:
-                        handle.cancel()
+        for assign in self._assigns.values():
+            if assign.job_id == job_id and assign.generation <= generation:
+                assign.cancelled = True
+                assign.handle.cancel()
         for (island_job, _), island_state in self._islands.items():
             if island_job == job_id and island_state.generation <= generation:
                 island_state.cancel.set()
@@ -789,11 +797,9 @@ class NodeAgent:
 
     def _outstanding_walks(self) -> int:
         pool_walks = sum(
-            1
-            for s in self._slices.values()
-            if not s.cancelled
-            for walk_id, handle in s.handles.items()
-            if walk_id not in s.reported and not handle.done()
+            len(assign.walk_ids) - assign.reported
+            for assign in self._assigns.values()
+            if not assign.cancelled and not assign.handle.done()
         )
         island_walks = sum(
             len(i.walk_ids)
@@ -812,19 +818,17 @@ class NodeAgent:
                 # the moment the partition heals
                 await asyncio.sleep(self.pump_interval)
                 continue
-            for key in list(self._slices):
-                slice_state = self._slices.get(key)
-                if slice_state is None:
+            for key in list(self._assigns):
+                assign = self._assigns.get(key)
+                if assign is None:
                     continue
-                for walk_id, handle in list(slice_state.handles.items()):
-                    if walk_id in slice_state.reported or not handle.done():
-                        continue
-                    slice_state.reported.add(walk_id)
-                    if slice_state.cancelled:
-                        continue
-                    await self._report_walk(slice_state, walk_id, handle)
-                if len(slice_state.reported) == len(slice_state.handles):
-                    del self._slices[key]
+                # read done() first: the reports of a finished job are all
+                # in outcomes() by then
+                done = assign.handle.done()
+                if done:
+                    del self._assigns[key]
+                if not assign.cancelled:
+                    await self._report_assign(assign, done)
             for key in list(self._islands):
                 island_state = self._islands.get(key)
                 if (
@@ -839,32 +843,46 @@ class NodeAgent:
                 del self._islands[key]
             await asyncio.sleep(self.pump_interval)
 
-    async def _report_walk(
-        self, slice_state: _Slice, walk_id: int, handle: Any
-    ) -> None:
-        result = handle.result(timeout=0)
-        if result.status is JobStatus.CANCELLED:
-            return  # a local cancel raced the completion; nothing to say
+    async def _report_assign(self, assign: _Assign, done: bool) -> None:
+        """Stream the walk reports that arrived since the last pump tick;
+        once the local job is ``done``, settle the walks that never
+        reported."""
+        outcomes = assign.handle.outcomes()
+        fresh = outcomes[assign.reported:]
+        assign.reported = len(outcomes)
         try:
-            if result.walks:
-                outcome = result.walks[0]
-                # the local job ran exactly one walk, so its local walk id
-                # is 0; re-tag it with the cluster-wide walk id
-                outcome.walk_id = walk_id
-                message = outcome_to_message(
-                    slice_state.job_id, slice_state.generation, outcome
+            for outcome in fresh:
+                # a cancelled walk lost (to a fellow lane's solve, or to a
+                # cancel that raced the report): it has nothing to say
+                if outcome.reason is not TerminationReason.CANCELLED:
+                    await self._send(
+                        outcome_to_message(
+                            assign.job_id, assign.generation, outcome
+                        )
+                    )
+            if not done:
+                return
+            result = assign.handle.result(timeout=0)
+            if result.status in (JobStatus.SOLVED, JobStatus.CANCELLED):
+                return  # whoever is still missing was stopped, not failed
+            # the local retry budget is spent: every walk left has failed
+            # on this node
+            finished = {outcome.walk_id for outcome in outcomes}
+            for walk_id in assign.walk_ids:
+                if walk_id in finished:
+                    continue
+                await self._send(
+                    Message(
+                        "walk_result",
+                        {
+                            "job_id": assign.job_id,
+                            "generation": assign.generation,
+                            "walk_id": walk_id,
+                            "error": result.error
+                            or f"walk ended {result.status.value} "
+                            "with no outcome",
+                        },
+                    )
                 )
-            else:
-                message = Message(
-                    "walk_result",
-                    {
-                        "job_id": slice_state.job_id,
-                        "generation": slice_state.generation,
-                        "walk_id": walk_id,
-                        "error": result.error
-                        or f"walk ended {result.status.value} with no outcome",
-                    },
-                )
-            await self._send(message)
         except (ConnectionError, OSError):
             pass  # the read loop will notice and tear the agent down

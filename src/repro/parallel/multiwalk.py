@@ -173,7 +173,9 @@ class MultiWalkSolver:
         """Run the walks as one job on the shared warm-worker service.
 
         The explicit seed list keeps trajectories identical to the other
-        executors (walk ``i`` is the same walk under every executor).
+        executors (walk ``i`` is the same walk under every executor) —
+        also when the service runs each worker's share of the walks as
+        vector lanes, which it does for problems with batched kernels.
         """
         assert self.pool is not None
         handle = self.pool.submit(

@@ -6,7 +6,8 @@ already sitting on cores; the plain process executor instead cold-spawns
 long-lived and the walker count a per-request scheduling decision:
 
 - :class:`WorkerPool` — processes spawned once, each problem serialized to
-  each worker once, walk tasks fed over per-worker queues;
+  each worker once, tasks (each a slice of one job's walks — vector lanes
+  where the problem has batched kernels) fed over per-worker queues;
 - :class:`Job` / :class:`JobResult` — one solve request with seed, walker
   count, priority, deadline and a crash :class:`RetryPolicy`;
 - :class:`SolverService` — multiplexes many concurrent jobs over the

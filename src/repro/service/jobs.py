@@ -2,7 +2,7 @@
 
 A :class:`Job` is one multi-walk solve request: a problem, a walker count,
 a seed, and scheduling attributes (priority, deadline, retry policy).  The
-service expands every job into per-walk tasks over the shared
+service expands every job into slices of walks over the shared
 :class:`~repro.service.pool.WorkerPool` and folds the walk reports back
 into a :class:`JobResult`.
 
@@ -111,6 +111,11 @@ class Job:
         enabled) the job's dispatches, walks and completion are stamped
         with this trace id — how a cluster-scope solve keeps one id across
         client, coordinator, agents and pool workers.
+    walk_ids:
+        the identities the job's walks go by in reports, progress,
+        telemetry and chaos faults, one per walker; ``None`` numbers them
+        ``0..n_walkers-1``.  A node agent passes the cluster-wide ids of
+        the walks it was assigned, so nothing downstream re-labels them.
     """
 
     problem: Problem
@@ -122,6 +127,7 @@ class Job:
     deadline: Optional[float] = None
     retry: Optional[RetryPolicy] = None
     trace: Optional[TraceContext] = None
+    walk_ids: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.n_walkers < 1:
@@ -136,6 +142,14 @@ class Job:
             raise ParallelError(
                 f"got {len(self.seeds)} explicit seeds for "
                 f"{self.n_walkers} walkers"
+            )
+        if self.walk_ids is not None and (
+            len(set(self.walk_ids)) != self.n_walkers
+            or len(self.walk_ids) != self.n_walkers
+        ):
+            raise ParallelError(
+                f"walk_ids must name {self.n_walkers} distinct walks, "
+                f"got {list(self.walk_ids)}"
             )
 
     def walk_seed_sequences(self) -> list[np.random.SeedSequence]:

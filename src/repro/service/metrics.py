@@ -17,7 +17,8 @@ services in one process never bleed counters into each other); pass
 registry when the service is explicitly instrumented.
 
 Worker utilization is measured as busy-time integral over wall time:
-every dispatch->result interval adds to a busy-seconds accumulator, and
+every dispatch->result interval (one per pool task, however many walks the
+task ran as lanes) adds to a busy-seconds accumulator, and
 ``utilization = busy_seconds / (n_workers * uptime)``.
 """
 
@@ -139,11 +140,15 @@ class ServiceMetrics:
     def record_dispatch(self) -> None:
         self._tasks_dispatched.inc()
 
-    def record_walk_completed(self, busy_time: float, stale: bool) -> None:
-        self._walks_completed.inc()
+    def record_walk_completed(
+        self, busy_time: float, stale: bool, walks: int = 1
+    ) -> None:
+        """One finished pool task: ``walks`` walk reports (the lanes of a
+        slice), one busy interval."""
+        self._walks_completed.inc(walks)
         self._busy_seconds.inc(busy_time)
         if stale:
-            self._stale_walks.inc()
+            self._stale_walks.inc(walks)
 
     def record_crash(self, busy_time: float, retried: bool) -> None:
         self._crashes.inc()

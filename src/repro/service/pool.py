@@ -1,10 +1,11 @@
 """Persistent warm-worker pool.
 
 ``WorkerPool`` owns ``n_workers`` long-lived processes that are spawned
-**once** and then fed walk tasks over per-worker inbox queues; results come
-back on one shared outbox queue.  Compared with the cold process executor
-(spawn ``k`` processes per solve, pickle the problem ``k`` times, tear
-everything down), the pool amortizes process start-up and problem
+**once** and then fed tasks (each a slice of one job's walks, see
+:class:`~repro.service.worker.WalkTask`) over per-worker inbox queues;
+results come back on one shared outbox queue.  Compared with the cold
+process executor (spawn ``k`` processes per solve, pickle the problem
+``k`` times, tear everything down), the pool amortizes process start-up and problem
 serialization across an arbitrary number of jobs — the paper's model of
 ``k`` dedicated engines already sitting on cores.
 

@@ -3,20 +3,29 @@
 ``SolverService`` multiplexes many concurrent multi-walk solve jobs over
 one shared :class:`~repro.service.pool.WorkerPool`:
 
-- every submitted :class:`~repro.service.jobs.Job` is expanded into
-  per-walk tasks tagged with the job's cancel token;
+- every submitted :class:`~repro.service.jobs.Job` is split into *slices*
+  of its walks, each slice one pool task tagged with the job's cancel
+  token.  A problem with batched vector kernels
+  (:func:`repro.vector.has_batched_kernels`) is dealt round-robin into
+  ``min(n_walks, n_workers)`` slices, so every worker advances its whole
+  share of the job at once as the lanes of one
+  :class:`~repro.vector.engine.VectorWalkEngine`; any other problem gets
+  one-walk slices on the scalar engine.  The width is a function of the
+  job, the pool and the problem, all of which the scheduler sees: there is
+  nothing to configure;
 - tasks are dispatched to idle workers in priority order, interleaved by
-  walk index within a priority class, so when jobs outnumber workers every
-  job keeps at least its first walk moving instead of head-of-line blocking
-  (the oversubscription policy: queueing is unbounded, width is
+  slice index within a priority class, so when jobs outnumber workers
+  every job keeps at least its first slice moving instead of head-of-line
+  blocking (the oversubscription policy: queueing is unbounded, width is
   time-shared);
 - the first solved walk of a job wins: the scheduler raises that job's
   cancel generation (other jobs' walks are untouched — see
   :mod:`repro.service.worker`), completes the job immediately and recycles
-  the slot while losing walks drain in the background;
-- a crashed walk (exception payload or dead worker process) is retried
-  with exponential backoff under the job's :class:`RetryPolicy`; dead
-  workers are respawned; when the retry budget runs out the job fails;
+  the slot while losing slices drain in the background;
+- a crashed slice (exception payload or dead worker process) is retried
+  whole — its walks are deterministic functions of their seeds — with
+  exponential backoff under the job's :class:`RetryPolicy`; dead workers
+  are respawned; when the retry budget runs out the job fails;
 - per-job deadlines force-cancel overdue jobs.
 
 All scheduling state is owned by one background thread; clients interact
@@ -38,6 +47,7 @@ import numpy as np
 from repro.core.config import AdaptiveSearchConfig
 from repro.errors import ParallelError
 from repro.parallel.results import WalkOutcome
+from repro.parallel.seeding import partition_walks
 from repro.problems.base import Problem
 from repro.service.jobs import Job, JobResult, JobStatus, RetryPolicy
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
@@ -50,6 +60,7 @@ from repro.telemetry.recorder import (
     get_recorder,
 )
 from repro.util.rng import SeedLike
+from repro.vector.problems import has_batched_kernels
 
 __all__ = ["JobHandle", "SolverService"]
 
@@ -63,6 +74,7 @@ class JobHandle:
         self._event = threading.Event()
         self._result: Optional[JobResult] = None
         self._status = JobStatus.PENDING
+        self._outcomes: list[WalkOutcome] = []
 
     @property
     def status(self) -> JobStatus:
@@ -80,6 +92,12 @@ class JobHandle:
         assert self._result is not None
         return self._result
 
+    def outcomes(self) -> list[WalkOutcome]:
+        """The walk reports received so far, in arrival order: the list
+        grows slice by slice while the job runs (a node agent streams them
+        on) and holds every walk of ``result().walks`` once it is done."""
+        return list(self._outcomes)
+
     def cancel(self) -> None:
         """Request cancellation (no-op if the job already finished)."""
         self._service._request_cancel(self.job_id)
@@ -96,9 +114,9 @@ class _JobState:
 
     __slots__ = (
         "job", "job_id", "seq", "handle", "problem_id", "token", "retry",
-        "seeds", "submitted_at", "first_dispatch_at", "deadline_at",
-        "outcomes", "outstanding", "winner", "retries", "crashes", "error",
-        "trace",
+        "seeds", "slices", "submitted_at", "first_dispatch_at",
+        "deadline_at", "outstanding", "winner", "retries", "crashes",
+        "error", "trace",
     )
 
     def __init__(
@@ -117,14 +135,23 @@ class _JobState:
         self.retry = retry
         self.problem_id: int | None = None
         self.token: CancelToken | None = None
-        self.seeds = job.walk_seed_sequences()
+        #: walk id -> seed; the walk ids are the job's own labels
+        self.seeds = dict(
+            zip(
+                job.walk_ids
+                if job.walk_ids is not None
+                else range(job.n_walkers),
+                job.walk_seed_sequences(),
+            )
+        )
+        #: the pool tasks of this job, each a tuple of walk ids
+        self.slices: list[tuple[int, ...]] = []
         self.submitted_at = submitted_at
         self.first_dispatch_at: float | None = None
         self.deadline_at = (
             submitted_at + job.deadline if job.deadline is not None else None
         )
-        self.outcomes: dict[int, WalkOutcome] = {}
-        self.outstanding: set[int] = set(range(len(self.seeds)))
+        self.outstanding: set[int] = set(self.seeds)
         self.winner: WalkOutcome | None = None
         self.retries = 0
         self.crashes = 0
@@ -216,12 +243,15 @@ class SolverService:
         # scheduler-thread-private state
         self._jobs: dict[int, _JobState] = {}
         self._pending: list[tuple[tuple[int, int], int]] = []  # (key, job_id)
+        #: (key, job_id, slice index): slices ready to run / backing off
         self._ready: list[tuple[tuple[int, int, int], int, int]] = []
         self._delayed: list[tuple[float, tuple[int, int, int], int, int]] = []
         self._idle: set[int] = set()
-        #: worker -> (job_id, walk_id, dispatched_at, job_label, walk_label)
-        #: where the labels are cluster-scope ids when the job is traced
-        self._in_flight: dict[int, tuple[int, int, float, int, int]] = {}
+        #: worker -> (job_id, walk_ids, dispatched_at, job_label), the label
+        #: being the cluster-scope job id when the job is traced
+        self._in_flight: dict[
+            int, tuple[int, tuple[int, ...], float, int]
+        ] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -365,10 +395,12 @@ class SolverService:
         return self._pool
 
     def walk_progress(self) -> list[dict[str, Any]]:
-        """Iteration progress of every in-flight walk (cluster-scope ids
-        when the job carries a trace context).  Snapshot-cheap: reads the
-        shared progress array the walks already write between cancel
-        polls.  Safe to call from any thread."""
+        """Iteration progress of every in-flight walk, under the job's own
+        walk ids (and the cluster-scope job id when the job carries a trace
+        context).  The lanes of a slice advance in lock-step and share one
+        entry of the progress array.  Snapshot-cheap: reads what the walks
+        already write between cancel polls.  Safe to call from any
+        thread."""
         pool = self._pool
         if pool is None:
             return []
@@ -378,16 +410,17 @@ class SolverService:
             flights = list(self._in_flight.items())
         except RuntimeError:  # pragma: no cover - resized mid-iteration
             return []
-        for worker_id, entry in flights:
-            _, _, dispatched_at, job_label, walk_label = entry
-            entries.append(
-                {
-                    "job_id": job_label,
-                    "walk_id": walk_label,
-                    "iterations": int(pool.progress[worker_id]),
-                    "elapsed": now - dispatched_at,
-                }
-            )
+        for worker_id, (_, walk_ids, dispatched_at, job_label) in flights:
+            iterations = int(pool.progress[worker_id])
+            for walk_id in walk_ids:
+                entries.append(
+                    {
+                        "job_id": job_label,
+                        "walk_id": walk_id,
+                        "iterations": iterations,
+                        "elapsed": now - dispatched_at,
+                    }
+                )
         return entries
 
     def _request_cancel(self, job_id: int) -> None:
@@ -455,7 +488,7 @@ class SolverService:
         return draining
 
     def _activate_pending(self) -> None:
-        """Give queued jobs a cancel slot and enqueue their walk tasks."""
+        """Give queued jobs a cancel slot and enqueue their slices."""
         pool = self._pool
         assert pool is not None
         while self._pending:
@@ -470,69 +503,79 @@ class SolverService:
             heapq.heappop(self._pending)
             state.token = token
             state.problem_id = pool.register_problem(state.job.problem)
+            walk_ids = list(state.seeds)
+            # one scalar walk per task, unless there are more walks than
+            # workers and the problem has batched kernels: then one lane
+            # batch per worker
+            n_slices = len(walk_ids)
+            if n_slices > self.n_workers and has_batched_kernels(
+                state.job.problem
+            ):
+                n_slices = self.n_workers
+            state.slices = [
+                tuple(walk_ids[i] for i in indices)
+                for indices in partition_walks(len(walk_ids), n_slices)
+            ]
             priority = -state.job.priority
-            for walk_id in range(len(state.seeds)):
+            for index in range(n_slices):
                 heapq.heappush(
                     self._ready,
-                    ((priority, walk_id, state.seq), job_id, walk_id),
+                    ((priority, index, state.seq), job_id, index),
                 )
 
     def _promote_delayed(self, now: float) -> None:
         while self._delayed and self._delayed[0][0] <= now:
-            _, key, job_id, walk_id = heapq.heappop(self._delayed)
-            heapq.heappush(self._ready, (key, job_id, walk_id))
+            _, key, job_id, index = heapq.heappop(self._delayed)
+            heapq.heappush(self._ready, (key, job_id, index))
 
     def _dispatch(self) -> None:
         pool = self._pool
         assert pool is not None
         while self._idle and self._ready:
-            key, job_id, walk_id = heapq.heappop(self._ready)
+            key, job_id, index = heapq.heappop(self._ready)
             state = self._jobs.get(job_id)
             if state is None or state.token is None:
                 continue  # job finished while this task was queued
+            walk_ids = state.slices[index]
             worker_id = self._idle.pop()
             now = time.monotonic()
             recorder = self.recorder
             ctx = state.trace
-            # cluster-scope ids when the job carries a trace context (a net
-            # job is a single-walk local job whose *cluster* walk id lives
-            # in the context), local ids otherwise
-            walk_label = (
-                ctx.walk_id if ctx is not None and ctx.walk_id >= 0 else walk_id
-            )
+            # the cluster-scope job id when the job carries a trace context
+            # (its walk ids already are cluster-scope: Job.walk_ids)
             job_label = (
                 ctx.job_id if ctx is not None and ctx.job_id >= 0 else job_id
             )
-            task_trace = (
-                ctx.for_job(job_label).for_walk(walk_label)
-                if ctx is not None and recorder.enabled
-                else None
-            )
-            fault = (
-                self.chaos.walk_fault(walk_label, job_label)
-                if self.chaos is not None
-                else None
-            )
+            faults = None
+            if self.chaos is not None:
+                faults = tuple(
+                    self.chaos.walk_fault(walk_id, job_label)
+                    for walk_id in walk_ids
+                )
+                if not any(faults):
+                    faults = None
             pool.progress[worker_id] = 0
             pool.send_task(
                 worker_id,
                 WalkTask(
                     job_id=job_id,
-                    walk_id=walk_id,
+                    walk_ids=walk_ids,
                     problem_id=state.problem_id,  # type: ignore[arg-type]
                     config=state.job.config,
-                    seed=state.seeds[walk_id],
+                    seeds=tuple(state.seeds[w] for w in walk_ids),
                     slot=state.token.slot,
                     generation=state.token.generation,
                     poll_every=self.poll_every,
-                    trace=task_trace,
+                    trace=(
+                        ctx.for_job(job_label)
+                        if ctx is not None and recorder.enabled
+                        else None
+                    ),
                     milestone_every=recorder.milestone_every,
-                    fault=fault,
+                    faults=faults,
                 ),
             )
-            self._in_flight[worker_id] = (
-                job_id, walk_id, now, job_label, walk_label,
-            )
+            self._in_flight[worker_id] = (job_id, walk_ids, now, job_label)
             if state.first_dispatch_at is None:
                 state.first_dispatch_at = now
             self.metrics.record_dispatch()
@@ -541,8 +584,10 @@ class SolverService:
                     JobDispatch(
                         trace_id=ctx.trace_id if ctx is not None else "",
                         job_id=job_label,
-                        walk_id=walk_label,
+                        walk_id=walk_ids[0],
                         worker=worker_id,
+                        walk_ids=walk_ids,
+                        lanes=len(walk_ids) if len(walk_ids) > 1 else 0,
                     )
                 )
 
@@ -566,17 +611,17 @@ class SolverService:
             self._idle.add(worker_id)
             if entry is None:
                 continue  # died idle: nothing to retry
-            job_id, walk_id, dispatched_at = entry[0], entry[1], entry[2]
+            job_id, walk_ids, dispatched_at, _ = entry
             self._handle_crash(
                 job_id,
-                walk_id,
+                walk_ids,
                 busy_time=time.monotonic() - dispatched_at,
                 error=f"worker process {worker_id} died while running "
-                f"walk {walk_id} of job {job_id}",
+                f"walks {list(walk_ids)} of job {job_id}",
             )
 
     def _reap(self) -> None:
-        """Pull walk reports from the pool outbox (one blocking poll, then
+        """Pull slice reports from the pool outbox (one blocking poll, then
         everything already queued)."""
         import queue as queue_mod
 
@@ -589,7 +634,7 @@ class SolverService:
             except queue_mod.Empty:
                 return
             block = False
-            kind, worker_id, job_id, walk_id, payload = message
+            kind, worker_id, job_id, walk_ids, payload = message
             if kind != "result":  # pragma: no cover - protocol guard
                 continue
             entry = self._in_flight.pop(worker_id, None)
@@ -602,22 +647,32 @@ class SolverService:
                 self.recorder.ingest(payload["telemetry"])
             if "error" in payload:
                 self._handle_crash(
-                    job_id, walk_id, busy_time=busy_time,
+                    job_id, walk_ids, busy_time=busy_time,
                     error=payload["error"],
                 )
                 continue
             state = self._jobs.get(job_id)
-            stale = state is None or walk_id not in state.outstanding
-            self.metrics.record_walk_completed(busy_time, stale=stale)
+            # a slice is retried and reported whole, so its walks are
+            # outstanding together or not at all
+            stale = state is None or not state.outstanding.issuperset(walk_ids)
+            self.metrics.record_walk_completed(
+                busy_time, stale=stale, walks=len(walk_ids)
+            )
             if stale:
                 continue
             assert state is not None
-            outcome = WalkOutcome.from_payload(walk_id, payload)
-            state.outcomes[walk_id] = outcome
-            state.outstanding.discard(walk_id)
+            for walk_id, report in zip(walk_ids, payload["walks"]):
+                outcome = WalkOutcome.from_payload(walk_id, report)
+                state.handle._outcomes.append(outcome)
+                # the lane that solved first (the engine stops at its round)
+                if outcome.solved and (
+                    state.winner is None
+                    or outcome.wall_time < state.winner.wall_time
+                ):
+                    state.winner = outcome
+            state.outstanding.difference_update(walk_ids)
             now = time.monotonic()
-            if outcome.solved and state.winner is None:
-                state.winner = outcome
+            if state.winner is not None:
                 self._pool.cancel(state.token)  # type: ignore[arg-type,union-attr]
                 self._finish_job(state, JobStatus.SOLVED, now)
             elif not state.outstanding:
@@ -625,7 +680,12 @@ class SolverService:
 
     # ------------------------------------------------------------------
     def _handle_crash(
-        self, job_id: int, walk_id: int, *, busy_time: float, error: str
+        self,
+        job_id: int,
+        walk_ids: tuple[int, ...],
+        *,
+        busy_time: float,
+        error: str,
     ) -> None:
         state = self._jobs.get(job_id)
         if state is None:
@@ -636,8 +696,9 @@ class SolverService:
             state.retries += 1
             self.metrics.record_crash(busy_time, retried=True)
             due = time.monotonic() + state.retry.delay(state.retries)
-            key = (-state.job.priority, walk_id, state.seq)
-            heapq.heappush(self._delayed, (due, key, job_id, walk_id))
+            index = state.slices.index(tuple(walk_ids))
+            key = (-state.job.priority, index, state.seq)
+            heapq.heappush(self._delayed, (due, key, job_id, index))
         else:
             self.metrics.record_crash(busy_time, retried=False)
             state.error = error
@@ -674,7 +735,7 @@ class SolverService:
             job_id=state.job_id,
             status=status,
             n_walkers=len(state.seeds),
-            walks=[state.outcomes[k] for k in sorted(state.outcomes)],
+            walks=sorted(state.handle._outcomes, key=lambda w: w.walk_id),
             winner=state.winner,
             error=state.error,
             queue_wait=queue_wait,

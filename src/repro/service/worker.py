@@ -14,9 +14,10 @@ it blocks on its private inbox queue and reacts to three message kinds,
     the pool and rebuild the problem over read-only views of it (see
     :mod:`repro.parallel.shm`); the attachment is held until shutdown;
 ``("walk", task)``
-    run one Adaptive Search walk and report
-    ``("result", worker_id, job_id, walk_id, payload)`` on the shared
-    outbox;
+    run one *slice* of a job — one walk on the scalar engine, two or more
+    as lanes of one :class:`~repro.vector.engine.VectorWalkEngine` — and
+    report ``("result", worker_id, job_id, walk_ids, payload)`` on the
+    shared outbox, ``payload["walks"]`` holding one walk report per id;
 ``("shutdown",)``
     exit the loop.
 
@@ -29,17 +30,19 @@ a stale walk of the previous tenant still sees itself cancelled while the
 new tenant (holding a strictly larger generation) keeps running.  One job's
 win therefore never kills another job's walks.
 
-Progress: alongside the cancel poll, the walk publishes its iteration
-count into the shared ``progress`` array (one int64 slot per worker).  The
+Progress: alongside the cancel poll, the slice publishes its iteration
+count (live lanes advance in lock-step, so one number describes them all)
+into the shared ``progress`` array (one int64 slot per worker).  The
 scheduler snapshots it for free, node agents ship it in heartbeats, and
 the coordinator's straggler detector feeds on it — all without any extra
 IPC on the hot path.
 
 Chaos: a :class:`~repro.chaos.plan.WalkFault` can ride inside the task
-(``task.fault``); the worker then raises, hard-exits, or sleeps per
-iteration exactly as instructed.  The spec travels with the task, so walk
-faults work identically across process boundaries and need no global
-state in the child.
+(``task.faults``, one entry per walk of the slice); the worker then
+raises, hard-exits, or sleeps per iteration exactly as instructed, a lane
+slice when the targeted lane reaches the fault's iteration.  The spec
+travels with the task, so walk faults work identically across process
+boundaries and need no global state in the child.
 """
 
 from __future__ import annotations
@@ -53,9 +56,14 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
+from repro.core.result import SolveResult
 from repro.core.solver import AdaptiveSearch
 from repro.parallel.results import WalkOutcome
 from repro.telemetry.events import TraceContext
+
+# imported with the worker module (so before any worker forks or serves its
+# first task): no job pays for loading the lane engine
+from repro.vector.engine import VectorWalkEngine
 
 __all__ = [
     "WalkTask",
@@ -66,29 +74,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WalkTask:
-    """One unit of pool work: a single walk of one job.
+    """One unit of pool work: a slice of the walks of one job.
+
+    ``walk_ids[i]`` is the job-wide identity of the slice's ``i``-th walk
+    and ``seeds[i]`` its exact stream, so a walk runs the trajectory it
+    would run in any other slice, on any other executor.  A one-walk slice
+    runs on the scalar engine; a wider one runs as the lanes of one
+    :class:`~repro.vector.engine.VectorWalkEngine` (the scheduler only
+    builds wide slices for problems with batched kernels).
 
     ``trace`` is ``None`` unless the scheduler is tracing this job, in
-    which case the worker runs the walk under a ring-buffered telemetry
+    which case the worker runs the slice under a ring-buffered telemetry
     recorder and ships the buffered records home inside the result payload
     (``payload["telemetry"]``) — the pool outbox doubles as the telemetry
     uplink, so no extra IPC machinery exists for tracing.
 
-    ``fault`` is ``None`` unless a chaos plan targeted this dispatch (see
-    module docstring).
+    ``faults`` is ``None`` unless a chaos plan targeted this dispatch (see
+    module docstring); otherwise it holds one fault or ``None`` per walk.
     """
 
     job_id: int
-    walk_id: int
+    walk_ids: tuple[int, ...]
     problem_id: int
     config: Optional[AdaptiveSearchConfig]
-    seed: np.random.SeedSequence
+    seeds: tuple[np.random.SeedSequence, ...]
     slot: int
     generation: int
     poll_every: int = 64
     trace: Optional[TraceContext] = None
     milestone_every: int = 0
-    fault: Optional[Any] = None  # chaos WalkFault, picklable
+    faults: Optional[tuple[Any, ...]] = None  # chaos WalkFaults, picklable
 
 
 class GenerationCancelCallback:
@@ -126,24 +141,128 @@ class GenerationCancelCallback:
         return None
 
 
+def _crash(fault: Any, iteration: int) -> None:
+    """Die as an injected ``exit`` / ``raise`` fault instructs."""
+    if fault.action == "exit":
+        os._exit(3)
+    raise RuntimeError(
+        f"chaos: injected walk crash at iteration {iteration}"
+    )
+
+
+def _apply_fault(fault: Any, iteration: int) -> None:
+    """Enact an injected fault on a walk that just finished ``iteration``."""
+    if fault.action == "slow":
+        time.sleep(fault.iteration_delay)
+    elif iteration >= fault.at_iteration:
+        _crash(fault, iteration)
+
+
 class _FaultCallback:
     """Applies an injected walk fault from inside the solver loop."""
 
     def __init__(self, fault: Any) -> None:
         self.fault = fault
 
-    def on_iteration(self, info: Any) -> bool | None:
-        fault = self.fault
-        if fault.action == "slow":
-            time.sleep(fault.iteration_delay)
-            return None
-        if info.iteration >= fault.at_iteration:
-            if fault.action == "exit":
-                os._exit(3)
-            raise RuntimeError(
-                f"chaos: injected walk crash at iteration {info.iteration}"
+    def on_iteration(self, info: Any) -> None:
+        _apply_fault(self.fault, info.iteration)
+
+
+def _run_walk(
+    worker_id: int,
+    task: WalkTask,
+    problem: Any,
+    cancel_generations: Any,
+    progress: Any,
+    recorder: Any,
+) -> list[SolveResult]:
+    """A one-walk slice: the scalar engine, callbacks per iteration."""
+    callbacks: list[Any] = [
+        GenerationCancelCallback(
+            cancel_generations, task.slot, task.generation,
+            task.poll_every,
+            progress=progress, progress_index=worker_id,
+        )
+    ]
+    if task.faults is not None and task.faults[0] is not None:
+        callbacks.append(_FaultCallback(task.faults[0]))
+    if recorder is not None:
+        from repro.telemetry.solver import TelemetryCallback
+
+        assert task.trace is not None
+        callbacks.append(
+            TelemetryCallback(
+                recorder,
+                trace_id=task.trace.trace_id,
+                job_id=task.trace.job_id,
+                walk_id=task.walk_ids[0],
             )
+        )
+    return [
+        AdaptiveSearch(task.config).solve(
+            problem, seed=task.seeds[0], callbacks=callbacks
+        )
+    ]
+
+
+def _run_lanes(
+    worker_id: int,
+    task: WalkTask,
+    problem: Any,
+    cancel_generations: Any,
+    progress: Any,
+    recorder: Any,
+) -> list[SolveResult]:
+    """A wider slice: every walk is a lane of one lock-step engine.
+
+    The first solving lane ends the slice (the job is won); the cancel
+    generation is polled and progress published every ``poll_every``
+    rounds, a round being one iteration of every live lane.
+    """
+    telemetry = None
+    if recorder is not None:
+        from repro.telemetry.vector import vector_telemetry
+
+        assert task.trace is not None
+        telemetry = vector_telemetry(
+            recorder,
+            trace_id=task.trace.trace_id,
+            job_id=task.trace.job_id,
+            walk_ids=task.walk_ids,
+        )
+    faults = [
+        (lane, fault)
+        for lane, fault in enumerate(task.faults or ())
+        if fault is not None
+    ]
+    slot, generation, poll_every = task.slot, task.generation, task.poll_every
+
+    def on_round(engine: VectorWalkEngine) -> bool | None:
+        if telemetry is not None:
+            telemetry.round_callback(engine)
+        for lane, fault in faults:
+            _apply_fault(fault, int(engine.iterations[lane]))
+        if engine.rounds % poll_every == 0:
+            if progress is not None:
+                progress[worker_id] = engine.rounds
+            if cancel_generations[slot] >= generation:
+                return False
         return None
+
+    engine = VectorWalkEngine(
+        problem,
+        len(task.walk_ids),
+        task.config,
+        seeds=task.seeds,
+        first_wins=True,
+        round_callback=on_round,
+    )
+    if telemetry is not None:
+        telemetry.on_start(engine)
+    outcome = engine.run()
+    if telemetry is not None:
+        telemetry.on_finish(outcome)
+    return outcome.walks
 
 
 def _run_task(
@@ -153,40 +272,28 @@ def _run_task(
     cancel_generations: Any,
     progress: Any,
 ) -> dict[str, Any]:
-    """Run one walk task to its report payload.
+    """Run one slice to its report payload.
 
     A function of its own so that nothing here — solver, callbacks,
     result — still references the problem once the task is done: a
     shared-memory problem's mapping can only close after the last array
     aliasing it is gone (see the shutdown branch of the worker loop).
     """
-    fault = task.fault
-    if fault is not None and fault.at_iteration <= 0:
+    for fault in task.faults or ():
         # pre-solve faults fire deterministically even for walks
         # whose budget is smaller than one callback interval
-        if fault.action == "exit":
-            os._exit(3)
-        if fault.action == "raise":
-            raise RuntimeError(
-                "chaos: injected walk crash before the first iteration"
-            )
-    solver = AdaptiveSearch(task.config)
-    callbacks: list[Any] = [
-        GenerationCancelCallback(
-            cancel_generations, task.slot, task.generation,
-            task.poll_every,
-            progress=progress, progress_index=worker_id,
-        )
-    ]
-    if fault is not None:
-        callbacks.append(_FaultCallback(fault))
-    ring = None
+        if (
+            fault is not None
+            and fault.action != "slow"
+            and fault.at_iteration <= 0
+        ):
+            _crash(fault, 0)
+    ring = recorder = None
     if task.trace is not None:
-        # traced walk: record telemetry into a bounded ring and
+        # traced slice: record telemetry into a bounded ring and
         # ship it home with the result (see WalkTask docstring)
         from repro.telemetry.recorder import Recorder
         from repro.telemetry.sinks import RingBufferSink
-        from repro.telemetry.solver import TelemetryCallback
 
         ring = RingBufferSink()
         recorder = Recorder(
@@ -194,20 +301,20 @@ def _run_task(
             proc=f"worker-{worker_id}",
             milestone_every=task.milestone_every,
         )
-        callbacks.append(
-            TelemetryCallback(
-                recorder,
-                trace_id=task.trace.trace_id,
-                job_id=task.trace.job_id,
-                walk_id=task.trace.walk_id,
-            )
-        )
-    result = solver.solve(problem, seed=task.seed, callbacks=callbacks)
+    run = _run_walk if len(task.walk_ids) == 1 else _run_lanes
+    results = run(
+        worker_id, task, problem, cancel_generations, progress, recorder
+    )
     # best_so_far: graceful degradation returns an unsolved walk's best
     # configuration to the client
-    payload = WalkOutcome.from_result(
-        task.walk_id, result, best_so_far=True
-    ).to_payload()
+    payload: dict[str, Any] = {
+        "walks": [
+            WalkOutcome.from_result(
+                walk_id, result, best_so_far=True
+            ).to_payload()
+            for walk_id, result in zip(task.walk_ids, results)
+        ]
+    }
     if ring is not None:
         payload["telemetry"] = ring.drain()
     return payload
@@ -222,7 +329,7 @@ def service_worker_main(
 ) -> None:
     """Run the worker loop until a shutdown message arrives.
 
-    Every walk task produces exactly one result message; a walk that raises
+    Every task produces exactly one result message; a slice that raises
     reports an ``{"error": traceback}`` payload and the worker *survives* —
     the retry decision belongs to the scheduler.  Only killing the process
     (or shutdown) ends the loop.
@@ -267,4 +374,4 @@ def service_worker_main(
             import traceback
 
             payload = {"error": traceback.format_exc()}
-        outbox.put(("result", worker_id, task.job_id, task.walk_id, payload))
+        outbox.put(("result", worker_id, task.job_id, task.walk_ids, payload))

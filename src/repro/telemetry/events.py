@@ -100,7 +100,12 @@ class JobSubmit(TelemetryEvent):
 
 @dataclass(frozen=True, kw_only=True)
 class JobDispatch(TelemetryEvent):
-    """One walk task handed to a concrete executor slot."""
+    """One task handed to a concrete executor slot.
+
+    A pool task is a slice of a job's walks: ``walk_ids`` names them all
+    (``walk_id`` is the first) and ``lanes`` is how many run as lanes of
+    one vector engine (0 = a single walk on the scalar engine).
+    """
 
     kind = "job_dispatch"
 
@@ -108,6 +113,8 @@ class JobDispatch(TelemetryEvent):
     walk_id: int = -1
     worker: int = -1
     node: str = ""
+    walk_ids: tuple[int, ...] = ()
+    lanes: int = 0
 
 
 @dataclass(frozen=True, kw_only=True)

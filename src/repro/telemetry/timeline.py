@@ -174,11 +174,13 @@ def analyze_trace(
             if summary.submit_ts is None or ts < summary.submit_ts:
                 summary.submit_ts = ts
         elif kind == "job_dispatch":
-            timeline = _walk(summary, walk_id)
-            if timeline.dispatch_ts is None or ts < timeline.dispatch_ts:
-                timeline.dispatch_ts = ts
-            if record.get("node"):
-                timeline.node = record["node"]
+            # a pool slice dispatches several walks in one event
+            for dispatched in record.get("walk_ids") or (walk_id,):
+                timeline = _walk(summary, dispatched)
+                if timeline.dispatch_ts is None or ts < timeline.dispatch_ts:
+                    timeline.dispatch_ts = ts
+                if record.get("node"):
+                    timeline.node = record["node"]
         elif kind == "walk_start":
             timeline = _walk(summary, walk_id)
             if timeline.start_ts is None or ts < timeline.start_ts:
@@ -286,6 +288,12 @@ def _describe(record: dict[str, Any]) -> str:
         )
     if kind == "job_dispatch":
         where = record.get("node") or f"worker {record.get('worker')}"
+        if record.get("lanes"):
+            walks = ",".join(str(w) for w in record.get("walk_ids", ()))
+            return (
+                f"dispatch job={record.get('job_id')} walks={walks} "
+                f"as {record['lanes']} lanes -> {where}"
+            )
         return (
             f"dispatch job={record.get('job_id')} "
             f"walk={record.get('walk_id')} -> {where}"

@@ -106,6 +106,30 @@ class TestWalkerPlanner:
         # whatever the degenerate fit says, the planner stays in range
         assert 1 <= planner.plan("queens") <= planner.max_walkers
 
+    def test_record_never_fits(self, monkeypatch):
+        """record() runs on the gateway's event loop after every solved
+        job: it appends, and the fit waits for someone to ask for a plan."""
+        from repro.gateway import admission
+
+        fits = []
+
+        def counting_best_fit(samples):
+            fits.append(len(samples))
+            return best_fit(samples)
+
+        best_fit = admission.best_fit
+        monkeypatch.setattr(admission, "best_fit", counting_best_fit)
+        rng = np.random.default_rng(7)
+        planner = WalkerPlanner(max_walkers=32, min_samples=8)
+        for t in rng.exponential(2.0, size=100):
+            planner.record("costas", float(t))
+        assert fits == []  # samples 8..100 recorded, nothing fitted
+        assert planner.plan("costas") == 32
+        assert fits == [100]  # one fit, over everything recorded by then
+        assert planner.fitted_family("costas") == "exponential"
+        assert planner.stats()["costas"]["plan"] == 32
+        assert fits == [100]  # and it is kept until the next sample
+
     def test_nonpositive_samples_ignored(self):
         planner = WalkerPlanner(min_samples=2)
         planner.record("x", 0.0)

@@ -118,19 +118,26 @@ class TestAutoscaleEndToEnd:
                 response, health = call(conn, "GET", "/healthz")
                 assert response.status == 200
                 assert "costas/6" in health["autoscale"]
-                warm_plan = warm["n_walkers"]
             finally:
                 conn.close()
 
         # 4. the gateway persisted its models on stop; a fresh gateway
-        # warm-starts from the file and plans like the warmed one, not
-        # like a cold start
+        # warm-starts from the file and plans what that file says, not
+        # like a cold start.  (Not "what the warm gateway planned": the
+        # warm job's own wall time lands after its plan was read, and one
+        # more sample can move the plan.)
         assert store_path.exists()
-        revived = Predictor(
-            ModelStore.open(store_path, min_samples=4, refit_interval=2),
-            default_walkers=COLD_PLAN,
-            max_walkers=16,
-        )
+
+        def from_file():
+            return Predictor(
+                ModelStore.open(store_path, min_samples=4, refit_interval=2),
+                default_walkers=COLD_PLAN,
+                max_walkers=16,
+            )
+
+        persisted_plan = from_file().choose_walkers("costas", 6)
+        assert persisted_plan != COLD_PLAN
+        revived = from_file()
         with LocalGateway(
             cluster.address, predictor=revived, progress_interval=0.1
         ) as gw:
@@ -138,7 +145,7 @@ class TestAutoscaleEndToEnd:
             conn = http.client.HTTPConnection(host, port, timeout=60)
             try:
                 restarted = submit_planned(conn)
-                assert restarted["n_walkers"] == warm_plan
+                assert restarted["n_walkers"] == persisted_plan
                 wait_finished(conn, restarted["job_id"])
             finally:
                 conn.close()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.chaos import FaultPlan, WalkFault
 from repro.core.config import AdaptiveSearchConfig
-from repro.problems import CostasProblem
+from repro.problems import CostasProblem, MagicSquareProblem
 from repro.service import JobStatus, RetryPolicy, SolverService
 
 CFG = AdaptiveSearchConfig(max_iterations=200_000)
@@ -149,4 +149,72 @@ class TestHardCrash:
             second = service.solve(healthy, 1, seed=1, config=CFG, timeout=120)
         assert second.status is JobStatus.SOLVED
         assert healthy.is_solution(second.config)
+        assert no_service_orphans()
+
+
+@pytest.mark.slow
+class TestLaneSliceCrash:
+    """A fault aimed at one lane takes its whole slice down; the slice is
+    retried whole, and because lanes are deterministic functions of their
+    seeds the job ends exactly as the fault-free run does."""
+
+    PROBLEM = MagicSquareProblem(12)
+    CAPPED = AdaptiveSearchConfig(max_iterations=150)
+
+    @staticmethod
+    def walks(result):
+        return [
+            (w.walk_id, w.solved, w.cost, w.iterations, w.reason,
+             w.config.tolist())
+            for w in result.walks
+        ]
+
+    def solve(self, service):
+        return service.solve(
+            self.PROBLEM, 16, seed=4, config=self.CAPPED,
+            retry=FAST_RETRY, timeout=120,
+        )
+
+    @pytest.fixture(scope="class")
+    def fault_free(self):
+        with SolverService(2) as service:
+            result = self.solve(service)
+        assert result.status is JobStatus.UNSOLVED
+        assert result.crashes == 0
+        return self.walks(result)
+
+    @pytest.mark.parametrize("at_iteration", [0, 40])
+    def test_raise_in_one_lane_retries_the_slice(
+        self, fault_free, at_iteration
+    ):
+        plan = FaultPlan(
+            [WalkFault("raise", walk_id=5, at_iteration=at_iteration)], seed=0
+        )
+        with SolverService(2, chaos=plan) as service:
+            result = self.solve(service)
+            snapshot = service.snapshot()
+        assert result.status is JobStatus.UNSOLVED
+        assert (result.crashes, result.retries) == (1, 1)
+        assert self.walks(result) == fault_free
+        # one fault, aimed at walk 5; its seven fellow lanes went down with
+        # it and all eight ran again: 3 tasks, 16 walk reports
+        assert [e["walk_id"] for e in plan.log] == [5]
+        assert snapshot.tasks_dispatched == 3
+        assert snapshot.walks_completed == 16
+        assert snapshot.worker_respawns == 0
+
+    def test_exit_in_one_lane_respawns_and_retries_the_slice(
+        self, fault_free
+    ):
+        plan = FaultPlan(
+            [WalkFault("exit", walk_id=5, at_iteration=40)], seed=0
+        )
+        with SolverService(2, tick=0.002, chaos=plan) as service:
+            result = self.solve(service)
+            snapshot = service.snapshot()
+        assert result.status is JobStatus.UNSOLVED
+        assert (result.crashes, result.retries) == (1, 1)
+        assert self.walks(result) == fault_free
+        assert snapshot.worker_respawns == 1
+        assert snapshot.walks_completed == 16
         assert no_service_orphans()
