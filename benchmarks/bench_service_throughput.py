@@ -146,10 +146,7 @@ def main(argv=None) -> int:
     print("measuring cold per-job latency (process executor) ...", flush=True)
     cold = measure_cold(probe_problem, n_jobs, probe_config)
 
-    # tick=1ms: the scheduler's heartbeat bounds how long a submission can
-    # sit unnoticed while the scheduler blocks on the pool outbox, so a
-    # latency benchmark wants it below the default 5ms
-    with SolverService(args.workers, poll_every=16, tick=0.001) as service:
+    with SolverService(args.workers, poll_every=16) as service:
         # first job warms the pool (ships the problem); measure after
         service.solve(
             probe_problem, WALKERS, seed=0, config=probe_config, timeout=600

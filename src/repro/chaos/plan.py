@@ -258,27 +258,47 @@ class FaultPlan:
                     return fault
         return None
 
+    def _active_node_fault(
+        self, node: str
+    ) -> Optional[tuple[int, NodeFault, float]]:
+        """``(index, fault, plan time now)`` of the node fault currently
+        injected on ``node``, if any."""
+        now = self.elapsed()
+        for index, fault in enumerate(self.faults):
+            if not isinstance(fault, NodeFault):
+                continue
+            if fault.node and fault.node != node:
+                continue
+            if fault.after <= now < fault.after + fault.duration:
+                return index, fault, now
+        return None
+
     def node_state(self, node: str) -> str:
         """Current injected state of ``node``: ok / kill / partition / stall.
 
         Purely time-based (no RNG, no counters): the same wall-clock query
         window yields the same answer, and the transition is logged once.
         """
-        now = self.elapsed()
+        active = self._active_node_fault(node)
+        if active is None:
+            return "ok"
+        index, fault, _ = active
         with self._lock:
-            for index, fault in enumerate(self.faults):
-                if not isinstance(fault, NodeFault):
-                    continue
-                if fault.node and fault.node != node:
-                    continue
-                if fault.after <= now < fault.after + fault.duration:
-                    if index not in self._node_logged:
-                        self._node_logged.add(index)
-                        self._record(
-                            "node", action=fault.action, node=node
-                        )
-                    return fault.action
-        return "ok"
+            if index not in self._node_logged:
+                self._node_logged.add(index)
+                self._record("node", action=fault.action, node=node)
+        return fault.action
+
+    def node_fault_remaining(self, node: str) -> float:
+        """Seconds until the fault now injected on ``node`` ends: ``0.0``
+        when none is active, ``inf`` for one that never heals.  Lets a
+        caller holding work back during a partition sleep exactly until
+        the heal instead of polling :meth:`node_state`."""
+        active = self._active_node_fault(node)
+        if active is None:
+            return 0.0
+        _, fault, now = active
+        return fault.after + fault.duration - now
 
     def coordinator_crash(self, point: str) -> bool:
         """Should the coordinator crash at this lifecycle point?"""

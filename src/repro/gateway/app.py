@@ -22,8 +22,12 @@ GET       ``/metrics``                Prometheus text (unauthenticated)
 Threading model: the asyncio loop owns every gateway structure (jobs,
 cache, tenants, admission) — no locks.  The one blocking component is the
 cluster client (deliberately thread-based, see :mod:`repro.net.client`);
-every call into it goes through :func:`asyncio.to_thread`, so a slow
-coordinator round-trip never stalls the accept loop.
+every blocking call into it (connect, submit, close) goes through
+:func:`asyncio.to_thread`, so a slow coordinator round-trip never stalls
+the accept loop.  *Waiting* for a job holds no thread: the client's reader
+thread resolves a loop future through the handle's done-callback the
+moment the coordinator's ``job_result`` frame lands, so the number of jobs
+in flight is not bounded by the default executor's thread count.
 
 Cancellation is gateway-side only: the frame protocol has no client->
 coordinator cancel, so DELETE marks the job cancelled, stops billing the
@@ -130,6 +134,8 @@ class GatewayJob:
         self.dedup_count = 0
         self.events: list[dict[str, Any]] = []
         self.updated = asyncio.Event()
+        #: the milestone emitter, cancelled when the job is finalized
+        self.progress_task: Optional[asyncio.Task] = None
 
     @property
     def finished(self) -> bool:
@@ -340,7 +346,7 @@ class Gateway:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
         if self.client is not None:
-            # unblocks any handle.result() threads with a client-closed error
+            # fails every pending handle with a client-closed error
             await asyncio.to_thread(self.client.close)
             self.client = None
         if self.predictor is not None:
@@ -648,7 +654,7 @@ class Gateway:
         job.status = "running"
         job.emit("dispatched", cluster_request=handle.request_id)
         self._spawn(self._await_result(job, tenant, handle))
-        self._spawn(self._progress(job))
+        job.progress_task = self._spawn(self._progress(job))
         return json_response(
             {**job.snapshot(), "planned": planned}, status=202
         )
@@ -728,6 +734,8 @@ class Gateway:
         error: str | None = None,
         result: dict[str, Any] | None = None,
     ) -> None:
+        if job.progress_task is not None:
+            job.progress_task.cancel()
         cancelled = job.status == "cancelled"
         if not cancelled:
             job.status = status
@@ -747,10 +755,23 @@ class Gateway:
     async def _await_result(
         self, job: GatewayJob, tenant: Tenant, handle
     ) -> None:
+        loop = asyncio.get_running_loop()
+        done: asyncio.Future[None] = loop.create_future()
+
+        def _resolve() -> None:
+            if not done.done():  # cancelled with this task by stop()
+                done.set_result(None)
+
+        def _on_done(_handle: Any) -> None:  # the client's reader thread
+            try:
+                loop.call_soon_threadsafe(_resolve)
+            except RuntimeError:
+                pass  # loop already closed: nobody is waiting
+
+        handle.set_done_callback(_on_done)
+        await done
         try:
-            result = await asyncio.to_thread(handle.result)
-        except asyncio.CancelledError:
-            raise
+            result = handle.result(timeout=0)
         except NetError as err:
             self._finalize(job, tenant, "failed", error=str(err))
             return

@@ -16,7 +16,12 @@ Back-traffic is two streams multiplexed on the one connection:
 - one ``walk_result`` frame per walk, streamed as the local job's slices
   finish, not batched at its end (the coordinator's first-finisher-wins
   decision needs the earliest solve as soon as it exists, and a straggler
-  must not hold its finished siblings back), and
+  must not hold its finished siblings back).  The pump that sends them is
+  woken by the completion itself — the local scheduler thread (or an
+  island thread) sets the pump's event through
+  ``loop.call_soon_threadsafe`` the moment a slice reports — so a result
+  leaves the node without waiting on any timer, and an idle agent's pump
+  does not run at all; and
 - periodic ``heartbeat`` frames carrying the local service's
   :meth:`~repro.service.metrics.MetricsSnapshot.to_json` load snapshot,
   which double as the liveness signal for the coordinator's failure
@@ -103,6 +108,8 @@ class _Island:
         self.thread: threading.Thread | None = None
         self.outcome: Any = None
         self.error: str | None = None
+        #: set by the island thread as its last act, before it wakes the pump
+        self.finished = False
         self.reported = False
 
 
@@ -174,7 +181,6 @@ class NodeAgent:
         lease_timeout: float | None = None,
         poll_every: int = 32,
         mp_context: str | None = None,
-        pump_interval: float = 0.01,
         service: SolverService | None = None,
         chaos: Any = None,
         recorder: Recorder | None = None,
@@ -209,7 +215,6 @@ class NodeAgent:
         self.reconnects = 0
         self.name = name or f"agent-{id(self) & 0xFFFF:04x}"
         self.heartbeat_interval = heartbeat_interval
-        self.pump_interval = pump_interval
         self._service = service
         self._owns_service = service is None
         self.chaos = chaos
@@ -240,6 +245,9 @@ class NodeAgent:
         #: assign naming a cached digest carries no problem payload at all
         self._problem_cache: dict[str, Any] = {}
         self._stopped = False
+        #: set (from any thread, via :meth:`_wake_pump`) whenever the pump
+        #: may have something to report
+        self._wake = asyncio.Event()
         self.closed = asyncio.Event()
         self.node_id: int | None = None
         self._last_rx = 0.0
@@ -547,6 +555,7 @@ class NodeAgent:
         self._assigns[(job_id, generation, walk_ids[0])] = _Assign(
             job_id, generation, walk_ids, handle
         )
+        handle.notify(self._wake_pump)
 
     # ------------------------------------------------------------------
     # cooperative islands (protocol v6)
@@ -587,6 +596,9 @@ class NodeAgent:
                 state.outcome = runner.run()
             except Exception as err:  # noqa: BLE001 - reported upstream
                 state.error = f"island {island_id} crashed: {err!r}"
+            finally:
+                state.finished = True
+                self._wake_pump()
 
         state.thread = threading.Thread(
             target=_run,
@@ -805,18 +817,35 @@ class NodeAgent:
             len(i.walk_ids)
             for i in self._islands.values()
             if not i.cancel.is_set()
-            and i.thread is not None
-            and i.thread.is_alive()
+            and not i.finished
         )
         return pool_walks + island_walks
 
+    def _wake_pump(self) -> None:
+        """Run the pump now.  Thread-safe: the local scheduler thread calls
+        it after every slice report and on job completion
+        (:meth:`JobHandle.notify`), an island thread as it ends."""
+        loop = self._loop
+        assert loop is not None  # assigns and islands only exist once started
+        try:
+            loop.call_soon_threadsafe(self._wake.set)
+        except RuntimeError:
+            pass  # loop already closed: nobody is left to report to
+
     async def _pump_loop(self) -> None:
-        """Stream finished walks to the coordinator as they complete."""
+        """Stream finished walks to the coordinator as they complete: one
+        pass per wake-up (see :meth:`_wake_pump`), none while idle."""
         while True:
+            await self._wake.wait()
+            # cleared before the scan: a report landing mid-pass re-arms it
+            self._wake.clear()
             if self._node_state() == "partition":
-                # hold results back (not marked reported) so they flow
-                # the moment the partition heals
-                await asyncio.sleep(self.pump_interval)
+                # hold results back (not marked reported): the plan's heal
+                # time re-arms the pump and they flow that moment
+                asyncio.get_running_loop().call_later(
+                    self.chaos.node_fault_remaining(self.name),
+                    self._wake.set,
+                )
                 continue
             for key in list(self._assigns):
                 assign = self._assigns.get(key)
@@ -834,17 +863,15 @@ class NodeAgent:
                 if (
                     island_state is None
                     or island_state.reported
-                    or island_state.thread is None
-                    or island_state.thread.is_alive()
+                    or not island_state.finished
                 ):
                     continue
                 island_state.reported = True
                 await self._report_island(island_state)
                 del self._islands[key]
-            await asyncio.sleep(self.pump_interval)
 
     async def _report_assign(self, assign: _Assign, done: bool) -> None:
-        """Stream the walk reports that arrived since the last pump tick;
+        """Stream the walk reports that arrived since the last pump pass;
         once the local job is ``done``, settle the walks that never
         reported."""
         outcomes = assign.handle.outcomes()

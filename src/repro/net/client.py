@@ -33,7 +33,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class NetJobHandle:
         self._event = threading.Event()
         self._result: Optional[NetJobResult] = None
         self._error: Optional[str] = None
+        self._callback_lock = threading.Lock()
+        self._done_callback: Callable[["NetJobHandle"], None] | None = None
         self._submitted_wall = 0.0
         #: original submit frame, kept for replay after a reconnect
         self._submit_fields: dict[str, Any] = {}
@@ -135,13 +137,34 @@ class NetJobHandle:
             raise NetError(self._error or "cluster job failed")
         return self._result
 
+    def set_done_callback(
+        self, callback: Callable[["NetJobHandle"], None]
+    ) -> None:
+        """Call ``callback(handle)`` once, when the job is answered or
+        failed (a closed client fails its pending jobs): from the client's
+        reader thread — or from this call, if the job is already done.
+        Lets an event loop await a job without parking a thread in
+        :meth:`result`; the callback must neither block nor raise."""
+        with self._callback_lock:
+            if not self._event.is_set():
+                self._done_callback = callback
+                return
+        callback(self)
+
     def _complete(self, result: NetJobResult) -> None:
         self._result = result
-        self._event.set()
+        self._finish()
 
     def _fail(self, error: str) -> None:
         self._error = error
-        self._event.set()
+        self._finish()
+
+    def _finish(self) -> None:
+        with self._callback_lock:
+            self._event.set()
+            callback, self._done_callback = self._done_callback, None
+        if callback is not None:
+            callback(self)
 
 
 class ClusterClient:

@@ -67,6 +67,9 @@ class MetricsSnapshot:
     latency_p50: float
     latency_p95: float
     queue_wait_mean: float
+    #: cancel-after-win: from the winner's cancel to a losing slice's report
+    cancel_to_stop_mean: float
+    cancel_to_stop_p95: float
     worker_utilization: float
 
     def to_json(self) -> dict[str, float | int]:
@@ -127,6 +130,9 @@ class ServiceMetrics:
         self._queue_wait = r.histogram(
             "service.queue_wait", **_HISTOGRAM_KWARGS
         )
+        self._cancel_to_stop = r.histogram(
+            "service.cancel_to_stop", **_HISTOGRAM_KWARGS
+        )
 
     # ------------------------------------------------------------------
     # recording (called from the scheduler thread)
@@ -158,6 +164,11 @@ class ServiceMetrics:
 
     def record_respawn(self) -> None:
         self._respawns.inc()
+
+    def record_cancel_to_stop(self, seconds: float) -> None:
+        """One losing slice reported ``seconds`` after the solve that won
+        its job raised the cancel generation."""
+        self._cancel_to_stop.observe(seconds)
 
     def record_job_finished(
         self, status: JobStatus, latency: float, queue_wait: float
@@ -203,6 +214,8 @@ class ServiceMetrics:
             latency_p50=float(self._latency.p50),
             latency_p95=float(self._latency.p95),
             queue_wait_mean=float(self._queue_wait.mean),
+            cancel_to_stop_mean=float(self._cancel_to_stop.mean),
+            cancel_to_stop_p95=float(self._cancel_to_stop.p95),
             worker_utilization=min(
                 1.0, self._busy_seconds.value / (self.n_workers * uptime)
             ),

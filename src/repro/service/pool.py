@@ -208,6 +208,19 @@ class WorkerPool:
     def is_alive(self, worker_id: int) -> bool:
         return self._workers[worker_id].process.is_alive()
 
+    @property
+    def outbox_reader(self) -> Any:
+        """The outbox's read end: waitable with
+        :func:`multiprocessing.connection.wait`, ready while a result is
+        queued (then ``outbox.get_nowait()`` returns it)."""
+        return self.outbox._reader
+
+    @property
+    def sentinels(self) -> list[int]:
+        """One waitable handle per worker process, ready once it died
+        (:meth:`respawn` replaces the process and with it the handle)."""
+        return [h.process.sentinel for h in self._workers.values()]
+
     def live_processes(self) -> list[Any]:
         """Worker processes currently alive (empty after a clean shutdown)."""
         return [

@@ -29,18 +29,27 @@ one shared :class:`~repro.service.pool.WorkerPool`:
 - per-job deadlines force-cancel overdue jobs.
 
 All scheduling state is owned by one background thread; clients interact
-through thread-safe :class:`JobHandle` futures.
+through thread-safe :class:`JobHandle` futures.  The thread has no
+heartbeat: between passes it blocks in one
+:func:`multiprocessing.connection.wait` over the pool outbox (a slice
+reported), a self-wake pipe (``submit`` / ``cancel`` / ``shutdown`` wrote
+to the inbox) and every worker's process sentinel (a worker died), with a
+timeout equal to the earliest job deadline or retry backoff.  Every
+hand-off is an event; an idle service makes one pass per
+:data:`_LIVENESS_INTERVAL`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing.connection
 import pickle
+import queue
 import threading
 import time
 from collections import deque
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +73,10 @@ from repro.vector.problems import has_batched_kernels
 
 __all__ = ["JobHandle", "SolverService"]
 
+#: longest the scheduler thread sleeps with nothing scheduled: a fallback
+#: against a lost wake-up, not a polling period — nothing waits on it
+_LIVENESS_INTERVAL = 1.0
+
 
 class JobHandle:
     """Future-style handle on a submitted job (thread-safe)."""
@@ -75,6 +88,7 @@ class JobHandle:
         self._result: Optional[JobResult] = None
         self._status = JobStatus.PENDING
         self._outcomes: list[WalkOutcome] = []
+        self._listener: Callable[[], None] | None = None
 
     @property
     def status(self) -> JobStatus:
@@ -98,6 +112,17 @@ class JobHandle:
         on) and holds every walk of ``result().walks`` once it is done."""
         return list(self._outcomes)
 
+    def notify(self, listener: Callable[[], None]) -> None:
+        """Register the handle's one listener: called with no arguments
+        from the scheduler thread after each slice's reports are appended
+        to :meth:`outcomes` and once more on completion — and right here
+        when either already happened, so no update is ever missed.  It is
+        a wake-up, not a message (it may fire with nothing new to read),
+        and it must neither block nor raise."""
+        self._listener = listener
+        if self._outcomes or self._event.is_set():
+            listener()
+
     def cancel(self) -> None:
         """Request cancellation (no-op if the job already finished)."""
         self._service._request_cancel(self.job_id)
@@ -107,6 +132,11 @@ class JobHandle:
         self._result = result
         self._status = result.status
         self._event.set()
+        self._notify()
+
+    def _notify(self) -> None:
+        if self._listener is not None:
+            self._listener()
 
 
 class _JobState:
@@ -162,6 +192,10 @@ class _JobState:
 class SolverService:
     """Schedules concurrent solve jobs over a persistent worker pool.
 
+    The scheduler thread is event-driven (see the module docstring): a
+    submit, a cancel, a slice report, a deadline, a retry backoff and a
+    worker death each wake it directly, so none of them waits on a timer.
+
     Parameters
     ----------
     n_workers:
@@ -175,10 +209,6 @@ class SolverService:
         iterations between cancel-token polls inside walks.
     retry_policy:
         default crash policy for jobs that do not carry their own.
-    tick:
-        scheduler heartbeat in seconds: the granularity of deadline
-        enforcement, crash detection and backoff wake-ups (results are
-        reaped as fast as they arrive regardless).
     recorder:
         telemetry recorder for dispatch/finish events and spans; defaults
         to the process recorder (disabled unless configured).  Passing an
@@ -199,7 +229,6 @@ class SolverService:
         cancel_slots: int = 64,
         poll_every: int = 64,
         retry_policy: RetryPolicy | None = None,
-        tick: float = 0.005,
         recorder: Recorder | None = None,
         chaos: Any = None,
     ) -> None:
@@ -209,8 +238,6 @@ class SolverService:
             )
         if poll_every < 1:
             raise ParallelError(f"poll_every must be >= 1, got {poll_every}")
-        if tick <= 0:
-            raise ParallelError(f"tick must be > 0, got {tick}")
         self._pool = pool
         self._owns_pool = pool is None
         self._pool_kwargs = {
@@ -219,7 +246,6 @@ class SolverService:
         self.n_workers = pool.n_workers if pool is not None else int(n_workers)  # type: ignore[arg-type]
         self.poll_every = poll_every
         self.retry_policy = retry_policy or RetryPolicy()
-        self.tick = tick
         self.chaos = chaos
         if chaos is not None:
             chaos.arm()
@@ -227,6 +253,12 @@ class SolverService:
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._inbox: deque[tuple[Any, ...]] = deque()
+        #: self-wake pipe: one byte is in it while an inbox message may be
+        #: unseen (opened by start(), closed by shutdown())
+        self._wake_lock = threading.Lock()
+        self._wake_reader: Any = None
+        self._wake_writer: Any = None
+        self._wake_pending = False
         self._job_counter = itertools.count()
         self._started = False
         self._shutdown_requested = False
@@ -252,6 +284,9 @@ class SolverService:
         self._in_flight: dict[
             int, tuple[int, tuple[int, ...], float, int]
         ] = {}
+        #: worker -> when its slice's job was won by another slice (the
+        #: cancel-to-stop clock, read when the slice's report arrives)
+        self._cancelled_at: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -266,6 +301,9 @@ class SolverService:
             if self._pool is None:
                 self._pool = WorkerPool(self.n_workers, **self._pool_kwargs)
             self._idle = set(self._pool.worker_ids)
+            self._wake_reader, self._wake_writer = (
+                multiprocessing.connection.Pipe(duplex=False)
+            )
             self._thread = threading.Thread(
                 target=self._run, name="repro-solver-service", daemon=True
             )
@@ -286,10 +324,14 @@ class SolverService:
         if started:
             self._shutdown_requested = True
             self._inbox.append(("shutdown", wait_jobs))
+            self._wake()
             assert self._thread is not None
             self._thread.join(timeout=timeout)
             if self._thread.is_alive():  # pragma: no cover - defensive
                 raise ParallelError("scheduler thread failed to stop in time")
+            with self._wake_lock:  # a late handle.cancel() finds it closed
+                self._wake_writer.close()
+                self._wake_reader.close()
         if self._owns_pool and self._pool is not None:
             self._pool.shutdown()
 
@@ -365,6 +407,7 @@ class SolverService:
                 )
             )
         self._inbox.append(("submit", job, job_id, handle, time.monotonic()))
+        self._wake()
         return handle
 
     def solve(
@@ -425,6 +468,16 @@ class SolverService:
 
     def _request_cancel(self, job_id: int) -> None:
         self._inbox.append(("cancel", job_id))
+        self._wake()
+
+    def _wake(self) -> None:
+        """Make the scheduler thread's wait return (any thread; call after
+        appending to the inbox)."""
+        with self._wake_lock:
+            if self._wake_pending or self._wake_writer.closed:
+                return
+            self._wake_pending = True
+            self._wake_writer.send_bytes(b"\0")
 
     # ------------------------------------------------------------------
     # scheduler thread
@@ -442,6 +495,7 @@ class SolverService:
                 self._dispatch()
                 if draining and not self._jobs and not self._inbox:
                     return
+                self._wait()
                 self._reap()
         except Exception:  # pragma: no cover - defensive: fail fast, loudly
             import traceback
@@ -605,6 +659,7 @@ class SolverService:
             if pool.is_alive(worker_id):
                 continue
             entry = self._in_flight.pop(worker_id, None)
+            self._cancelled_at.pop(worker_id, None)
             self._idle.discard(worker_id)
             pool.respawn(worker_id)
             self.metrics.record_respawn()
@@ -620,28 +675,49 @@ class SolverService:
                 f"walks {list(walk_ids)} of job {job_id}",
             )
 
-    def _reap(self) -> None:
-        """Pull slice reports from the pool outbox (one blocking poll, then
-        everything already queued)."""
-        import queue as queue_mod
-
+    def _wait(self) -> None:
+        """Block until something can have changed: a slice report in the
+        outbox, a client message (the wake pipe), a dead worker (its
+        sentinel), or the earliest deadline / retry backoff coming due."""
         pool = self._pool
         assert pool is not None
-        block = True
+        due = [
+            state.deadline_at
+            for state in self._jobs.values()
+            if state.deadline_at is not None
+        ]
+        if self._delayed:
+            due.append(self._delayed[0][0])
+        timeout = _LIVENESS_INTERVAL
+        if due:
+            timeout = min(timeout, max(0.0, min(due) - time.monotonic()))
+        ready = multiprocessing.connection.wait(
+            [pool.outbox_reader, self._wake_reader, *pool.sentinels], timeout
+        )
+        if self._wake_reader in ready:
+            with self._wake_lock:
+                self._wake_reader.recv_bytes()
+                self._wake_pending = False
+
+    def _reap(self) -> None:
+        """Pull every slice report already in the pool outbox."""
+        pool = self._pool
+        assert pool is not None
         while True:
             try:
-                message = pool.outbox.get(timeout=self.tick if block else 0)
-            except queue_mod.Empty:
+                message = pool.outbox.get_nowait()
+            except queue.Empty:
                 return
-            block = False
             kind, worker_id, job_id, walk_ids, payload = message
             if kind != "result":  # pragma: no cover - protocol guard
                 continue
             entry = self._in_flight.pop(worker_id, None)
-            busy_time = (
-                time.monotonic() - entry[2] if entry is not None else 0.0
-            )
+            arrived = time.monotonic()
+            busy_time = arrived - entry[2] if entry is not None else 0.0
             self._idle.add(worker_id)
+            cancelled_at = self._cancelled_at.pop(worker_id, None)
+            if cancelled_at is not None:
+                self.metrics.record_cancel_to_stop(arrived - cancelled_at)
             if self.recorder.enabled and "telemetry" in payload:
                 # worker-side trace records, shipped home via the outbox
                 self.recorder.ingest(payload["telemetry"])
@@ -674,9 +750,15 @@ class SolverService:
             now = time.monotonic()
             if state.winner is not None:
                 self._pool.cancel(state.token)  # type: ignore[arg-type,union-attr]
+                # the losing slices still on workers: stopped from here on
+                for loser, flight in self._in_flight.items():
+                    if flight[0] == job_id:
+                        self._cancelled_at[loser] = now
                 self._finish_job(state, JobStatus.SOLVED, now)
             elif not state.outstanding:
                 self._finish_job(state, JobStatus.UNSOLVED, now)
+            else:
+                state.handle._notify()
 
     # ------------------------------------------------------------------
     def _handle_crash(

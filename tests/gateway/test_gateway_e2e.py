@@ -11,6 +11,7 @@ import json
 import os
 import socket
 import struct
+import sys
 import time
 
 import http.client
@@ -20,6 +21,7 @@ import pytest
 from repro.gateway import Tenant, TenantRegistry
 from repro.gateway.testing import LocalGateway
 from repro.net import LocalCluster
+from repro.net.client import NetJobHandle
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +383,96 @@ class TestGatewayEndToEnd:
                     events.append(json.loads(payload.decode()))
         finally:
             sock.close()
+
+
+def threads_parked_in_handle_result():
+    """Frames of ``NetJobHandle.result`` on any thread of this process."""
+    parked = []
+    for frame in sys._current_frames().values():
+        while frame is not None:
+            if frame.f_code is NetJobHandle.result.__code__:
+                parked.append(frame)
+            frame = frame.f_back
+    return parked
+
+
+@pytest.mark.slow
+class TestNoThreadPerJob:
+    """Waiting for a job costs the gateway a loop future, not a thread.
+
+    Each test boots a private anonymous gateway on the shared cluster:
+    they count the gateway's own tasks and fail its client."""
+
+    #: a single walk that runs out its one-second budget unsolved
+    LONG = {
+        "problem": "costas",
+        "params": {"n": 18},
+        "n_walkers": 1,
+        "config": {"time_limit": 1.0},
+    }
+
+    def test_more_jobs_in_flight_than_executor_threads(self, cluster):
+        """Regression: every in-flight job used to park one thread of the
+        loop's default executor (``min(32, cpu_count + 4)`` threads) in
+        ``handle.result``, so the next first-time POST queued behind them
+        for its own ``to_thread(client.submit)`` — seconds, not ms."""
+        in_flight = min(32, os.cpu_count() + 4) + 2  # cpu_count + 6 here
+        tenants = TenantRegistry(
+            [Tenant("bulk", "k-bulk", max_inflight=in_flight + 1)]
+        )
+        with LocalGateway(cluster.address, tenants) as gw:
+            connection = http.client.HTTPConnection(*gw.address, timeout=60)
+            try:
+                job_ids = []
+                for seed in range(in_flight + 1):
+                    started = time.monotonic()
+                    response, sub = call(
+                        connection, "POST", "/v1/jobs",
+                        body=dict(self.LONG, seed=1000 + seed), key="k-bulk",
+                    )
+                    answered = time.monotonic() - started
+                    assert response.status == 202
+                    job_ids.append(sub["job_id"])
+                # the POST made with `in_flight` jobs already waiting
+                assert answered < 0.25
+                assert threads_parked_in_handle_result() == []
+                for job_id in job_ids:
+                    snap = wait_finished(connection, job_id, "k-bulk")
+                    assert snap["status"] == "unsolved"
+            finally:
+                connection.close()
+
+    def test_progress_task_ends_with_its_job(self, cluster):
+        # default progress_interval (0.5 s): a milestone task left to
+        # notice the finish by itself would outlive the job by that long
+        with LocalGateway(cluster.address) as gw:
+            connection = http.client.HTTPConnection(*gw.address, timeout=60)
+            try:
+                assert len(gw.gateway._tasks) == 0
+                _, sub = call(
+                    connection, "POST", "/v1/jobs",
+                    body={"problem": "costas", "params": {"n": 7},
+                          "n_walkers": 1, "seed": 131},
+                    key="any",
+                )
+                snap = wait_finished(connection, sub["job_id"], "any")
+                assert snap["status"] == "solved"
+                time.sleep(0.05)  # a few loop turns for the done-callbacks
+                assert len(gw.gateway._tasks) == 0
+            finally:
+                connection.close()
+
+    def test_closing_the_client_fails_pending_jobs(self, cluster):
+        with LocalGateway(cluster.address) as gw:
+            connection = http.client.HTTPConnection(*gw.address, timeout=60)
+            try:
+                _, sub = call(
+                    connection, "POST", "/v1/jobs",
+                    body=dict(self.LONG, seed=141), key="any",
+                )
+                gw.gateway.client.close()
+                snap = wait_finished(connection, sub["job_id"], "any", 10.0)
+                assert snap["status"] == "failed"
+                assert "closed" in snap["error"]
+            finally:
+                connection.close()

@@ -13,6 +13,7 @@ from repro.core.config import AdaptiveSearchConfig
 from repro.errors import NetError
 from repro.harness.runner import BenchmarkSpec, collect_samples
 from repro.net import ClusterClient, LocalCluster, parse_address
+from repro.net.client import NetJobHandle
 from repro.net.protocol import Message, recv_message, send_message
 from repro.parallel import MultiWalkSolver, solve_parallel
 from repro.problems import make_problem
@@ -197,3 +198,22 @@ class TestParseAddress:
             parse_address("no-port-here")
         with pytest.raises(NetError, match="not a cluster address"):
             parse_address(12345)
+
+
+class TestJobHandleDoneCallback:
+    def test_fires_once_on_failure_from_the_finishing_thread(self):
+        handle = NetJobHandle(0)
+        seen = []
+        handle.set_done_callback(seen.append)
+        assert seen == []
+        handle._fail("client closed")
+        assert seen == [handle]
+        with pytest.raises(NetError, match="client closed"):
+            handle.result(timeout=0)
+
+    def test_fires_immediately_when_already_done(self):
+        handle = NetJobHandle(0)
+        handle._fail("gone")
+        seen = []
+        handle.set_done_callback(seen.append)
+        assert seen == [handle]

@@ -129,7 +129,7 @@ class TestPoolLifecycle:
         before = repro_segments()
         plan = FaultPlan([WalkFault("exit", max_count=1)], seed=0)
         problem = CostasProblem(8)
-        with SolverService(1, tick=0.002, chaos=plan) as service:
+        with SolverService(1, chaos=plan) as service:
             first = service.solve(
                 problem, 1, seed=0, config=CFG,
                 retry=RetryPolicy(max_retries=0), timeout=120,
@@ -146,7 +146,7 @@ class TestPoolLifecycle:
         of re-publishing: the segment set does not grow."""
         plan = FaultPlan([WalkFault("exit", max_count=1)], seed=0)
         problem = CostasProblem(8)
-        with SolverService(1, tick=0.002, chaos=plan) as service:
+        with SolverService(1, chaos=plan) as service:
             service.solve(
                 problem, 1, seed=0, config=CFG,
                 retry=RetryPolicy(max_retries=0), timeout=120,

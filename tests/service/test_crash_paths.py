@@ -114,7 +114,7 @@ class TestHardCrash:
         # every dispatch hard-exits its worker; the pool heals each time
         plan = FaultPlan([WalkFault("exit", max_count=99)], seed=0)
         policy = RetryPolicy(max_retries=1, backoff=0.01)
-        service = SolverService(1, tick=0.002, chaos=plan)
+        service = SolverService(1, chaos=plan)
         with service:
             result = service.solve(
                 CostasProblem(8),
@@ -141,7 +141,7 @@ class TestHardCrash:
         plan = FaultPlan([WalkFault("exit", max_count=1)], seed=0)
         healthy = CostasProblem(8)
         policy = RetryPolicy(max_retries=0)
-        with SolverService(1, tick=0.002, chaos=plan) as service:
+        with SolverService(1, chaos=plan) as service:
             first = service.solve(
                 healthy, 1, seed=0, config=CFG, retry=policy, timeout=120
             )
@@ -209,7 +209,7 @@ class TestLaneSliceCrash:
         plan = FaultPlan(
             [WalkFault("exit", walk_id=5, at_iteration=40)], seed=0
         )
-        with SolverService(2, tick=0.002, chaos=plan) as service:
+        with SolverService(2, chaos=plan) as service:
             result = self.solve(service)
             snapshot = service.snapshot()
         assert result.status is JobStatus.UNSOLVED

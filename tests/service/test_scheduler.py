@@ -24,10 +24,6 @@ class TestConstruction:
         with pytest.raises(ParallelError, match="poll_every"):
             SolverService(1, poll_every=0)
 
-    def test_invalid_tick(self):
-        with pytest.raises(ParallelError, match="tick"):
-            SolverService(1, tick=0.0)
-
 
 @pytest.mark.slow
 class TestSingleJob:
@@ -63,7 +59,7 @@ class TestSingleJob:
 
     def test_deadline_times_out(self):
         problem = make_problem("magic_square", n=10)
-        with SolverService(1, tick=0.002) as service:
+        with SolverService(1) as service:
             result = service.solve(
                 problem, 1, seed=0,
                 config=AdaptiveSearchConfig(),  # effectively unbounded
@@ -168,7 +164,7 @@ class TestDeadlineEdgeCases:
         job's walks never reach a worker — the deadline must fire anyway
         (enforcement is scheduler-side, not walk-side)."""
         blocker_problem = make_problem("magic_square", n=10)
-        with SolverService(1, tick=0.002) as service:
+        with SolverService(1) as service:
             blocker = service.submit(
                 blocker_problem, 1, seed=0, config=AdaptiveSearchConfig()
             )
@@ -190,7 +186,7 @@ class TestDeadlineEdgeCases:
         report must not double-complete or hang the job)."""
         problem = CostasProblem(8)
         seen = set()
-        with SolverService(2, tick=0.002) as service:
+        with SolverService(2) as service:
             for attempt, deadline in enumerate((0.005, 0.05, 0.2, 5.0)):
                 result = service.solve(
                     problem, 2, seed=attempt, config=CFG,
