@@ -116,8 +116,9 @@ def bench_vector_iteration_rate(benchmark):
     """End-to-end lane-iterations/second of the vector engine.
 
     Compare against ``bench_solver_iteration_rate`` after dividing the
-    vector time by ``VECTOR_K`` — the ratio is the batching speedup that
-    ``benchmarks/bench_vector_walk.py`` gates.
+    vector time by ``VECTOR_K``.  The rates of record are the calibrated
+    ``vector.lane_iters_per_cal_s.*`` and ``core.iters_per_cal_s.*`` of
+    ``python3 benchmarks/e2e/run.py --workload kernel_scalar --trace 1``.
     """
     from repro.vector.engine import VectorWalkEngine
 

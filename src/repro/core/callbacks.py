@@ -15,7 +15,7 @@ value continues it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -51,49 +51,59 @@ class SearchCallback(Protocol):
     def on_finish(self, solved: bool, cost: float) -> None: ...
 
 
+_HOOKS = ("on_start", "on_iteration", "on_reset", "on_restart", "on_finish")
+
+
 class CallbackList:
     """Fan-out wrapper; missing methods on members are skipped.
 
     ``on_iteration`` returns False (cancel) as soon as any member does.
+    Each member's hooks are looked up once, when it joins the list — the
+    per-iteration fan-out is the cancel poll of every pool and process
+    worker, so it calls bound methods and nothing else.
     """
 
     def __init__(self, callbacks: list[object] | None = None) -> None:
-        self.callbacks = list(callbacks or [])
+        self.callbacks: list[object] = []
+        self._hooks: dict[str, list[Callable]] = {name: [] for name in _HOOKS}
+        for callback in callbacks or []:
+            self.add(callback)
 
     def add(self, callback: object) -> None:
         self.callbacks.append(callback)
+        for name, methods in self._hooks.items():
+            method = getattr(callback, name, None)
+            if method is not None:
+                methods.append(method)
+
+    @property
+    def observes_iterations(self) -> bool:
+        """Whether any member has an ``on_iteration`` hook — a loop with
+        none need not build an :class:`IterationInfo` at all."""
+        return bool(self._hooks["on_iteration"])
 
     def on_start(self, config: np.ndarray, cost: float) -> None:
-        for cb in self.callbacks:
-            method = getattr(cb, "on_start", None)
-            if method is not None:
-                method(config, cost)
+        for method in self._hooks["on_start"]:
+            method(config, cost)
 
     def on_iteration(self, info: IterationInfo) -> bool:
         keep_going = True
-        for cb in self.callbacks:
-            method = getattr(cb, "on_iteration", None)
-            if method is not None and method(info) is False:
+        for method in self._hooks["on_iteration"]:
+            if method(info) is False:
                 keep_going = False
         return keep_going
 
     def on_reset(self, iteration: int, cost: float) -> None:
-        for cb in self.callbacks:
-            method = getattr(cb, "on_reset", None)
-            if method is not None:
-                method(iteration, cost)
+        for method in self._hooks["on_reset"]:
+            method(iteration, cost)
 
     def on_restart(self, restart_index: int, cost: float) -> None:
-        for cb in self.callbacks:
-            method = getattr(cb, "on_restart", None)
-            if method is not None:
-                method(restart_index, cost)
+        for method in self._hooks["on_restart"]:
+            method(restart_index, cost)
 
     def on_finish(self, solved: bool, cost: float) -> None:
-        for cb in self.callbacks:
-            method = getattr(cb, "on_finish", None)
-            if method is not None:
-                method(solved, cost)
+        for method in self._hooks["on_finish"]:
+            method(solved, cost)
 
 
 class CostTraceCallback:

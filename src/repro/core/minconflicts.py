@@ -123,7 +123,7 @@ class MinConflicts:
                     if j >= i:
                         j += 1
                     delta = problem.swap_delta(state, i, j)
-                    problem.apply_swap(state, i, j)
+                    problem.apply_swap(state, i, j, delta)
                     stats.swaps += 1
                 else:
                     errors = problem.variable_errors(state)
@@ -139,7 +139,7 @@ class MinConflicts:
                     delta = float(deltas[j])
                     if delta > 0:
                         stats.local_minima += 1
-                    problem.apply_swap(state, i, j)
+                    problem.apply_swap(state, i, j, delta)
                     stats.swaps += 1
                     if delta == 0:
                         stats.plateau_moves += 1

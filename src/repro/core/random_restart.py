@@ -119,7 +119,7 @@ class RandomRestartHillClimbing:
                         found = True
                         break
                 if found:
-                    problem.apply_swap(state, i, j)
+                    problem.apply_swap(state, i, j, delta)
                     stats.swaps += 1
                 else:
                     stats.local_minima += 1

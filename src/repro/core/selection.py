@@ -3,8 +3,12 @@
 Adaptive Search repeatedly needs "the index of the maximum (or minimum)
 entry, ties broken uniformly at random" — deterministic ``argmax`` would bias
 walks toward low indices and, worse, make supposedly independent parallel
-walks correlated through shared tie-breaking.  These helpers are the only
-place the solver draws selection randomness.
+walks correlated through shared tie-breaking.  These helpers define when
+selection draws randomness: one ``rng.integers(0, ties)`` per tie, nothing
+for a unique extremum.  The baseline solvers call them;
+:class:`repro.core.session.AdaptiveSearchSession` runs the same two
+selections inline, on the same draws (``tests/core/test_golden_walks.py``
+and ``tests/vector/test_equivalence.py`` hold it to that).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.callbacks import CallbackList, IterationInfo
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.result import SolveStats
-from repro.core.selection import argmin_random_tie, masked_argmax_random_tie
 from repro.core.termination import TerminationReason
 from repro.errors import SolverError
 from repro.problems.base import Problem
@@ -132,6 +131,14 @@ class AdaptiveSearchSession:
         state = self.state
         rng = self.rng
         stats = self.stats
+        marks = self.marks
+        # an IterationInfo is built only for someone to read it
+        observe = (
+            self.callbacks.on_iteration
+            if self.callbacks.observes_iterations
+            else None
+        )
+        inf = math.inf
         consumed = 0
 
         with self._stopwatch:
@@ -152,58 +159,65 @@ class AdaptiveSearchSession:
                 self._restart_iterations += 1
                 it = stats.iterations
 
-                errors = problem.variable_errors(state)
-                eligible = self.marks < it
-                if not eligible.any():
+                # worst variable that is not frozen, then its best swap
+                # (never with itself); each tie is broken by one draw and
+                # a unique extremum draws nothing, as in
+                # repro.core.selection
+                errors = np.where(
+                    marks < it, problem.variable_errors(state), -inf
+                )
+                worst = errors.max()
+                if worst == -inf:  # every variable is frozen
                     self._partial_reset(it)
                     continue
-
-                i = masked_argmax_random_tie(errors, eligible, rng)
+                ties = (errors == worst).nonzero()[0]
+                if len(ties) > 1:
+                    i = int(ties[rng.integers(0, len(ties))])
+                else:
+                    i = int(ties[0])
                 deltas = problem.swap_deltas(state, i)
-                deltas[i] = math.inf  # never "swap" a variable with itself
-                j = argmin_random_tie(deltas, rng)
-                delta = float(deltas[j])
+                deltas[i] = inf
+                best = deltas.min()
+                ties = (deltas == best).nonzero()[0]
+                if len(ties) > 1:
+                    j = int(ties[rng.integers(0, len(ties))])
+                else:
+                    j = int(ties[0])
+                delta = float(best)
 
                 executed = -1
-                improving = delta < 0 or (
-                    delta == 0 and not cfg.plateau_is_local_min
-                )
-                if improving:
-                    problem.apply_swap(state, i, j)
+                if delta < 0 or (delta == 0 and not cfg.plateau_is_local_min):
+                    problem.apply_swap(state, i, j, delta)
                     stats.swaps += 1
                     if delta == 0:
                         stats.plateau_moves += 1
                     executed = j
                     if cfg.freeze_swap > 0:
-                        self.marks[i] = it + cfg.freeze_swap
-                        self.marks[j] = it + cfg.freeze_swap
+                        marks[i] = it + cfg.freeze_swap
+                        marks[j] = it + cfg.freeze_swap
                 else:
                     # local minimum w.r.t. the selected variable: frozen in
                     # *both* branches (as in the C solver — otherwise
                     # accepted degrading moves on the same hot variable turn
                     # the walk into a high-cost random walk)
                     stats.local_minima += 1
-                    self.marks[i] = it + cfg.freeze_loc_min
+                    marks[i] = it + cfg.freeze_loc_min
                     stats.frozen_variables += 1
-                    if (
-                        math.isfinite(delta)
-                        and rng.random() < cfg.prob_select_loc_min
-                    ):
-                        problem.apply_swap(state, i, j)
+                    if delta < inf and rng.random() < cfg.prob_select_loc_min:
+                        problem.apply_swap(state, i, j, delta)
                         stats.swaps += 1
                         stats.accepted_local_min_moves += 1
                         if delta == 0:
                             stats.plateau_moves += 1
                         executed = j
                         if cfg.freeze_swap > 0:
-                            self.marks[j] = it + cfg.freeze_swap
-                    else:
-                        frozen_now = int((self.marks > it).sum())
-                        if frozen_now > cfg.reset_limit:
-                            self._partial_reset(it)
+                            marks[j] = it + cfg.freeze_swap
+                    elif np.count_nonzero(marks > it) > cfg.reset_limit:
+                        self._partial_reset(it)
 
-                self._track_best()
-                keep_going = self.callbacks.on_iteration(
+                if state.cost < self.best_cost:
+                    self._track_best()
+                if observe is not None and not observe(
                     IterationInfo(
                         iteration=it,
                         cost=state.cost,
@@ -214,8 +228,7 @@ class AdaptiveSearchSession:
                         restarts=stats.restarts,
                         resets=stats.resets,
                     )
-                )
-                if not keep_going:
+                ):
                     return self._finish(TerminationReason.CANCELLED)
 
     # ------------------------------------------------------------------

@@ -4,22 +4,109 @@ The model aggregates constraint errors into a total cost and projects them
 onto variables — the two quantities Adaptive Search consumes.  Permutation
 structure can be declared per variable array; the
 :class:`~repro.problems.base.ModelProblem` adapter then exposes the model to
-the solver through the generic (non-incremental) problem protocol.
+the solver through the incremental problem protocol.
+
+Two tables are compiled from the constraint list at first use (and again
+after :meth:`Model.add_constraint`): the CSR variable→constraint incidence
+and the *linear block* — every :class:`LinearConstraint` stacked into one
+coefficient matrix, so that the swap kernels evaluate all of them in a
+handful of array operations instead of one Python call per constraint.
+Both are derived, hence never pickled.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.csp.constraints import Constraint
+from repro.csp.constraints import Constraint, LinearConstraint
 from repro.csp.domain import Domain
 from repro.csp.variables import VariableArray
 from repro.errors import ModelError
+from repro.util.derived import content_state
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["Model"]
+
+
+@dataclass(frozen=True)
+class _LinearBlock:
+    """Every :class:`LinearConstraint` of a model as one dense system.
+
+    Row ``r`` is constraint ``ids[r]`` (in model order):
+    ``coefficients[r] @ x REL rhs[r]``, with 0 for unmentioned variables.
+    ``groups`` pairs each relation's error function with its rows.
+    ``weights[r] * scale[r]`` is the row's ``variable_errors`` projection
+    per unit of error, kept as two factors so the products round exactly as
+    :meth:`LinearConstraint.variable_errors` rounds them.
+
+    The kernels work from ``lhs = coefficients @ x``, which a walk keeps
+    beside its constraint errors and moves by ``(c_i - c_j)(x_j - x_i)``
+    per swap.  With integer coefficients and right-hand sides every
+    quantity is an exactly represented integer, so the block returns bit
+    for bit what the per-constraint kernels return; otherwise the two may
+    differ in the last place.
+    """
+
+    ids: np.ndarray  # (L,) indices into Model.constraints
+    others: tuple[int, ...]  # indices of every other constraint
+    coefficients: np.ndarray  # (L, n)
+    rhs: np.ndarray  # (L,)
+    groups: tuple[tuple[Callable, np.ndarray], ...]
+    weights: np.ndarray  # (L, n)
+    scale: np.ndarray  # (L, 1)
+
+    @classmethod
+    def compile(
+        cls, constraints: Sequence[Constraint], n_variables: int
+    ) -> "_LinearBlock":
+        ids = [
+            ci for ci, c in enumerate(constraints)
+            if isinstance(c, LinearConstraint)
+        ]
+        coefficients = np.zeros((len(ids), n_variables), dtype=np.float64)
+        weights = np.zeros_like(coefficients)
+        scale = np.ones((len(ids), 1), dtype=np.float64)
+        rows_of: dict[Callable, list[int]] = {}
+        for row, ci in enumerate(ids):
+            constraint = constraints[ci]
+            coefficients[row, constraint.variables] = constraint.coefficients
+            magnitude = np.abs(constraint.coefficients)
+            total = magnitude.sum()
+            if total == 0:
+                weights[row, constraint.variables] = 1.0
+            else:
+                weights[row, constraint.variables] = magnitude
+                scale[row] = len(magnitude) / total
+            rows_of.setdefault(constraint.relation.error_fn, []).append(row)
+        return cls(
+            ids=np.asarray(ids, dtype=np.int64),
+            others=tuple(
+                ci for ci, c in enumerate(constraints)
+                if not isinstance(c, LinearConstraint)
+            ),
+            coefficients=coefficients,
+            rhs=np.asarray([constraints[ci].rhs for ci in ids], dtype=np.float64),
+            groups=tuple(
+                (fn, np.asarray(rows, dtype=np.int64))
+                for fn, rows in rows_of.items()
+            ),
+            weights=weights,
+            scale=scale,
+        )
+
+    def errors(self, lhs: np.ndarray) -> np.ndarray:
+        """Row errors for ``lhs`` of shape ``(L,)`` or ``(L, candidates)``."""
+        rhs = self.rhs if lhs.ndim == 1 else self.rhs[:, None]
+        if len(self.groups) == 1:  # one relation throughout: no gather
+            return np.asarray(self.groups[0][0](lhs, rhs), dtype=np.float64)
+        out = np.empty(lhs.shape, dtype=np.float64)
+        for fn, rows in self.groups:
+            out[rows] = fn(lhs[rows], rhs[rows])
+        return out
 
 
 class Model:
@@ -36,7 +123,12 @@ class Model:
         self.constraints: list[Constraint] = []
         self._n_variables = 0
         self._permutation_arrays: set[str] = set()
-        self._incidence: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        return content_state(self)
+
+    def _invalidate_compiled(self) -> None:
+        self.__dict__ = content_state(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -49,7 +141,7 @@ class Model:
         array._register(self._n_variables)
         self.arrays.append(array)
         self._n_variables += array.n
-        self._incidence = None
+        self._invalidate_compiled()
         return array
 
     def add_constraint(self, constraint: Constraint) -> Constraint:
@@ -61,7 +153,7 @@ class Model:
                 f"{self._n_variables} variables"
             )
         self.constraints.append(constraint)
-        self._incidence = None
+        self._invalidate_compiled()
         return constraint
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> None:
@@ -98,27 +190,33 @@ class Model:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.zeros(self._n_variables + 1, dtype=np.int64)
+        for constraint in self.constraints:
+            counts[constraint.variables + 1] += 1
+        indptr = np.cumsum(counts)
+        constraint_ids = np.empty(int(indptr[-1]), dtype=np.int64)
+        cursor = indptr[:-1].copy()
+        for ci, constraint in enumerate(self.constraints):
+            v = constraint.variables
+            constraint_ids[cursor[v]] = ci
+            cursor[v] += 1
+        return indptr, constraint_ids
+
+    @cached_property
+    def _linear(self) -> _LinearBlock:
+        return _LinearBlock.compile(self.constraints, self._n_variables)
+
     def incidence_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Compiled variable→constraint incidence in CSR form.
 
         Returns ``(indptr, constraint_ids)``: the constraints mentioning
         global variable ``v`` are ``constraint_ids[indptr[v]:indptr[v+1]]``.
-        Built once per model mutation; this replaces the former Python
-        list-of-lists and is what makes the incremental swap kernels touch
-        only the constraints incident to the swapped positions.
+        Built once per model mutation; it is what makes the per-constraint
+        swap kernels touch only the constraints incident to the swapped
+        positions.
         """
-        if self._incidence is None:
-            counts = np.zeros(self._n_variables + 1, dtype=np.int64)
-            for constraint in self.constraints:
-                counts[constraint.variables + 1] += 1
-            indptr = np.cumsum(counts)
-            constraint_ids = np.empty(int(indptr[-1]), dtype=np.int64)
-            cursor = indptr[:-1].copy()
-            for ci, constraint in enumerate(self.constraints):
-                v = constraint.variables
-                constraint_ids[cursor[v]] = ci
-                cursor[v] += 1
-            self._incidence = (indptr, constraint_ids)
         return self._incidence
 
     def constraint_ids_on(self, variable: int) -> np.ndarray:
@@ -155,19 +253,32 @@ class Model:
         """Total cost = sum of constraint errors (0 iff all satisfied)."""
         return float(self.constraint_errors(assignment).sum())
 
+    def linear_lhs(self, assignment: np.ndarray) -> np.ndarray:
+        """Left-hand sides of the stacked :class:`LinearConstraint` block.
+
+        The second half of a walk's cache: :meth:`swap_cost_deltas` and
+        :meth:`apply_swap_update` take it as ``lhs`` next to
+        ``constraint_errors`` (and compute it when a stateless caller
+        leaves it out); :meth:`apply_swap_update` moves it in place.
+        """
+        return self._linear.coefficients @ assignment
+
     def constraint_errors(self, assignment: np.ndarray) -> np.ndarray:
         """Error of every constraint, aligned with ``self.constraints``.
 
         This vector is the per-constraint error cache of the incremental
         path: :meth:`swap_cost_deltas`, :meth:`swap_cost_delta` and
         :meth:`apply_swap_update` take it as the current-state baseline and
-        only re-evaluate constraints incident to the swapped positions.
+        only re-evaluate what a swap can change.  Linear constraints are
+        evaluated through the stacked block, so the cache always equals
+        what the block kernels derive from :meth:`linear_lhs`.
         """
-        return np.fromiter(
-            (c.error(assignment) for c in self.constraints),
-            dtype=np.float64,
-            count=len(self.constraints),
-        )
+        block = self._linear
+        errors = np.empty(len(self.constraints), dtype=np.float64)
+        errors[block.ids] = block.errors(self.linear_lhs(assignment))
+        for ci in block.others:
+            errors[ci] = self.constraints[ci].error(assignment)
+        return errors
 
     def variable_errors(
         self,
@@ -180,43 +291,67 @@ class Model:
         (``constraint_errors``), satisfied constraints are skipped: the
         error/``variable_errors`` contract makes their projection all-zero.
         """
-        errors = np.zeros(self._n_variables, dtype=np.float64)
-        for ci, constraint in enumerate(self.constraints):
+        block = self._linear
+        if constraint_errors is not None:
+            linear_errors = constraint_errors[block.ids]
+        else:
+            linear_errors = block.errors(self.linear_lhs(assignment))
+        errors = (linear_errors[:, None] * block.weights * block.scale).sum(axis=0)
+        for ci in block.others:
             if constraint_errors is not None and constraint_errors[ci] == 0.0:
                 continue
-            contrib = constraint.variable_errors(assignment)
-            errors[constraint.variables] += contrib
+            constraint = self.constraints[ci]
+            errors[constraint.variables] += constraint.variable_errors(assignment)
         return errors
 
     # ------------------------------------------------------------------
     # incremental swap kernels
     # ------------------------------------------------------------------
     def swap_cost_deltas(
-        self, assignment: np.ndarray, constraint_errors: np.ndarray, i: int
+        self,
+        assignment: np.ndarray,
+        constraint_errors: np.ndarray,
+        i: int,
+        lhs: np.ndarray | None = None,
     ) -> np.ndarray:
         """Cost delta of swapping global position ``i`` with every position.
 
         ``constraint_errors`` must be :meth:`constraint_errors` of
-        ``assignment``.  Constraints incident to ``i`` are re-evaluated for
-        all candidates with one vectorized :meth:`Constraint.swap_errors`
-        call each; every other constraint changes only for candidates inside
-        its own scope, so it is probed just at those positions.  Total work
-        is one batched kernel call per constraint instead of the O(n·C)
-        full-model evaluations of the generic fallback.
+        ``assignment`` (and ``lhs``, when given, its :meth:`linear_lhs`).
+        The linear block prices every candidate at once: swapping ``i`` and
+        ``j`` shifts row ``r`` by ``(c_ri - c_rj)(x_j - x_i)``, zero for a
+        row that mentions neither.  Of the other constraints, those
+        incident to ``i`` are re-evaluated for all candidates with one
+        vectorized :meth:`Constraint.swap_errors` call each; the rest
+        change only for candidates inside their own scope, so they are
+        probed just at those positions.
         """
-        n = self._n_variables
-        deltas = np.zeros(n, dtype=np.float64)
+        block = self._linear
+        if lhs is None:
+            lhs = self.linear_lhs(assignment)
+        coefficients = block.coefficients
+        shifted = (coefficients[:, i, None] - coefficients) * (
+            assignment - assignment[i]
+        )
+        shifted += lhs[:, None]
+        deltas = (
+            block.errors(shifted) - constraint_errors[block.ids, None]
+        ).sum(axis=0)
+        if not block.others:
+            return deltas
         on_i = set(self.constraint_ids_on(i).tolist())
-        all_js = np.arange(n, dtype=np.int64)
+        all_js = np.arange(self._n_variables, dtype=np.int64)
         for ci in on_i:
             constraint = self.constraints[ci]
-            deltas += (
-                constraint.swap_errors(assignment, i, all_js)
-                - constraint_errors[ci]
-            )
-        for ci, constraint in enumerate(self.constraints):
+            if not isinstance(constraint, LinearConstraint):
+                deltas += (
+                    constraint.swap_errors(assignment, i, all_js)
+                    - constraint_errors[ci]
+                )
+        for ci in block.others:
             if ci in on_i:
                 continue
+            constraint = self.constraints[ci]
             scope = constraint.variables
             new_errors = constraint.swap_errors(assignment, i, scope)
             deltas[scope] += new_errors - constraint_errors[ci]
@@ -246,17 +381,33 @@ class Model:
         constraint_errors: np.ndarray,
         i: int,
         j: int,
+        lhs: np.ndarray | None = None,
     ) -> None:
-        """Commit swap ``i`` ↔ ``j``: update ``assignment`` *and* the cached
-        ``constraint_errors`` in place, touching only incident constraints."""
+        """Commit swap ``i`` ↔ ``j``: update ``assignment``, the cached
+        ``constraint_errors`` *and* ``lhs`` (when given) in place.  The
+        linear block is re-derived from its moved ``lhs``; of the other
+        constraints only those incident to ``i`` or ``j`` are touched."""
         if i == j:
             return
-        touched = np.union1d(self.constraint_ids_on(i), self.constraint_ids_on(j))
-        js = np.asarray([j], dtype=np.int64)
-        for ci in touched.tolist():
-            constraint_errors[ci] = self.constraints[ci].swap_errors(
-                assignment, i, js
-            )[0]
+        block = self._linear
+        if lhs is None:
+            lhs = self.linear_lhs(assignment)
+        coefficients = block.coefficients
+        lhs += (coefficients[:, i] - coefficients[:, j]) * (
+            assignment[j] - assignment[i]
+        )
+        constraint_errors[block.ids] = block.errors(lhs)
+        if block.others:
+            touched = np.union1d(
+                self.constraint_ids_on(i), self.constraint_ids_on(j)
+            )
+            js = np.asarray([j], dtype=np.int64)
+            for ci in touched.tolist():
+                constraint = self.constraints[ci]
+                if not isinstance(constraint, LinearConstraint):
+                    constraint_errors[ci] = constraint.swap_errors(
+                        assignment, i, js
+                    )[0]
         assignment[i], assignment[j] = assignment[j], assignment[i]
 
     def violated_constraints(self, assignment: np.ndarray) -> list[Constraint]:

@@ -7,11 +7,18 @@ permutation of ``1 .. n-1``).
 Cost: for every difference value occurring ``c > 1`` times among the ``n-1``
 adjacent differences, add ``c - 1``; zero iff the series is all-interval.
 A swap of two positions only changes the (at most four) differences adjacent
-to them, so deltas are O(1).
+to them, so a pointwise delta is O(1).
+
+That cost is ``(n - 1) - distinct``, and the differences fit a machine word
+as bits, so the all-``j`` delta vector needs no count table at all: the
+post-swap differences of every candidate come out of one indicator-table
+product, and ``distinct`` is the popcount of their OR-reduced bit masks (the
+identity :mod:`repro.vector.problems` runs across lanes, here for one walk).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -40,6 +47,10 @@ class AllIntervalProblem(Problem):
 
     family = "all_interval"
 
+    #: widest series whose differences fit the int64 bit mask of
+    #: :meth:`swap_deltas`; beyond it the base class's pointwise loop runs
+    MASK_MAX_N = 62
+
     def __init__(self, n: int = 14) -> None:
         if n < 2:
             raise ProblemError(f"all_interval needs n >= 2, got {n}")
@@ -63,6 +74,15 @@ class AllIntervalProblem(Problem):
             "prob_select_loc_min": 0.5,
             "restart_limit": 10**9,
         }
+
+    @cached_property
+    def _endpoint(self) -> np.ndarray:
+        """``[pos, d] = [d + 1 == pos] - [d == pos]``: how difference slot
+        ``d`` (between positions ``d`` and ``d + 1``) moves with the value
+        at ``pos``."""
+        slot = np.arange(self._n - 1)
+        pos = np.arange(self._n)[:, None]
+        return (slot + 1 == pos).astype(np.int64) - (slot == pos)
 
     # ------------------------------------------------------------------
     def _count_table(self, config: np.ndarray) -> np.ndarray:
@@ -128,26 +148,46 @@ class AllIntervalProblem(Problem):
         return delta
 
     def swap_deltas(self, state: AllIntervalState, i: int) -> np.ndarray:
-        deltas = np.zeros(self._n, dtype=np.float64)
-        for j in range(self._n):
-            if j != i:
-                deltas[j] = self.swap_delta(state, i, j)
+        n = self._n
+        if n > self.MASK_MAX_N:
+            return super().swap_deltas(state, i)  # pointwise, j by j
+        cfg = state.config
+        endpoint = self._endpoint
+        # row j: the signed differences after swapping i <-> j
+        diffs = (endpoint[i] - endpoint) * (cfg - cfg[i])[:, None]
+        diffs += cfg[1:] - cfg[:-1]
+        np.abs(diffs, out=diffs)
+        seen = np.bitwise_or.reduce(np.left_shift(1, diffs), axis=1)
+        # cost = (n - 1) - distinct, before and after
+        deltas = (n - 1 - state.cost) - np.bitwise_count(seen)
+        deltas[i] = 0.0
         return deltas
 
-    def apply_swap(self, state: AllIntervalState, i: int, j: int) -> None:
+    def apply_swap(
+        self,
+        state: AllIntervalState,
+        i: int,
+        j: int,
+        delta: float | None = None,
+    ) -> None:
         if i == j:
             return
-        delta = self.swap_delta(state, i, j)
         cfg = state.config
         counts = state.counts
         positions = self._affected_diff_positions(i, j)
         old = [abs(int(cfg[d + 1]) - int(cfg[d])) for d in positions]
         cfg[i], cfg[j] = cfg[j], cfg[i]
         new = [abs(int(cfg[d + 1]) - int(cfg[d])) for d in positions]
+        # moving the counts prices the swap on the way: ``delta`` is unused
         for ov, nv in zip(old, new):
-            counts[ov] -= 1
-            counts[nv] += 1
-        state.cost += delta
+            c = counts[ov]
+            if c > 1:
+                state.cost -= 1
+            counts[ov] = c - 1
+            c = counts[nv]
+            if c >= 1:
+                state.cost += 1
+            counts[nv] = c + 1
 
     def variable_errors(self, state: AllIntervalState) -> np.ndarray:
         """A position is erroneous when an adjacent difference is duplicated."""

@@ -135,7 +135,9 @@ class AlphaProblem(Problem):
         new_res = state.residuals + coeff_diff * dv
         return float(np.abs(new_res).sum() - state.cost)
 
-    def apply_swap(self, state: AlphaState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: AlphaState, i: int, j: int, delta: float | None = None
+    ) -> None:
         if i == j:
             return
         coeff_diff = self._matrix[:, i] - self._matrix[:, j]

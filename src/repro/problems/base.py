@@ -17,14 +17,21 @@ The contract mirrors the C adaptive-search library's benchmark plug-in API
 ``swap_deltas(state, i)``
     cost change of swapping position ``i`` with *every* position ``j``
     (vector of length ``n``; entry ``i`` is 0).  The hot call.
-``apply_swap(state, i, j)``
-    commit a swap, updating config, cost and caches incrementally.
+``apply_swap(state, i, j, delta=None)``
+    commit a swap, updating config, cost and caches incrementally.  A
+    caller that has already priced the move hands its ``delta`` over.
 ``variable_errors(state)``
     per-variable error projection driving worst-variable selection.
 
 Default implementations fall back to full re-evaluation so a new problem is
 correct from day one and can be made incremental afterwards; property tests
 in ``tests/problems`` assert incremental ≡ reference on random states.
+
+Kernel tables that are a pure function of the instance parameters and are
+not already built by ``__init__`` are ``functools.cached_property`` values:
+the first walk builds them, construction stays cheap (a server builds a
+problem per request) and :meth:`Problem.__getstate__` keeps them out of the
+pickle, so an instance's content digest is the same before and after use.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 from repro.csp.model import Model
 from repro.csp.permutation import check_permutation, random_partial_reset
 from repro.errors import ProblemError
+from repro.util.derived import content_state
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["WalkState", "Problem", "ModelProblem"]
@@ -89,6 +97,9 @@ class Problem(ABC):
     def spec(self) -> Mapping[str, Any]:
         """Instance parameters (used for cache keys and reports)."""
         return {"family": self.family, "size": self.size}
+
+    def __getstate__(self) -> dict[str, Any]:
+        return content_state(self)
 
     # ------------------------------------------------------------------
     # reference (stateless) semantics
@@ -144,8 +155,17 @@ class Problem(ABC):
                 deltas[j] = self.swap_delta(state, i, j)
         return deltas
 
-    def apply_swap(self, state: WalkState, i: int, j: int) -> None:
-        """Commit the swap; default recomputes cost from scratch."""
+    def apply_swap(
+        self, state: WalkState, i: int, j: int, delta: float | None = None
+    ) -> None:
+        """Commit the swap; default recomputes cost from scratch.
+
+        ``delta``, when given, must be ``swap_delta(state, i, j)`` on the
+        state as it is now — the solver loops always hold it, having just
+        selected the move by it.  An override may then add it to
+        ``state.cost`` instead of pricing the move a second time; one that
+        rebuilds its cost from its caches anyway is free to ignore it.
+        """
         cfg = state.config
         cfg[i], cfg[j] = cfg[j], cfg[i]
         state.cost = self.cost(cfg)
@@ -190,16 +210,22 @@ class Problem(ABC):
 
 
 class ModelWalkState(WalkState):
-    """Walk state for :class:`ModelProblem`: adds the per-constraint error
-    cache that the model's incremental swap kernels are built on."""
+    """Walk state for :class:`ModelProblem`: the per-constraint error cache
+    and, beside it, the left-hand sides of the model's stacked linear block
+    (:meth:`Model.linear_lhs`) that its swap kernels work from."""
 
-    __slots__ = ("constraint_errors",)
+    __slots__ = ("constraint_errors", "lhs")
 
     def __init__(
-        self, config: np.ndarray, cost: float, constraint_errors: np.ndarray
+        self,
+        config: np.ndarray,
+        cost: float,
+        constraint_errors: np.ndarray,
+        lhs: np.ndarray,
     ) -> None:
         super().__init__(config, cost)
         self.constraint_errors = constraint_errors
+        self.lhs = lhs
 
 
 class ModelProblem(Problem):
@@ -207,8 +233,9 @@ class ModelProblem(Problem):
     single permutation array) through the problem protocol.
 
     The walk protocol is incremental: the state caches every constraint's
-    current error, swap deltas re-evaluate only constraints incident to the
-    swapped positions through the vectorized
+    current error and the linear block's left-hand sides; swap deltas price
+    all linear constraints at once from the stacked coefficient matrix and
+    re-evaluate the others through their vectorized
     :meth:`~repro.csp.constraints.Constraint.swap_errors` kernels, and
     committed swaps refresh just the touched cache entries.  Declarative
     models therefore run within a constant factor of the hand-written
@@ -290,7 +317,9 @@ class ModelProblem(Problem):
         self.check_configuration(config)
         cfg = np.array(config, dtype=np.int64, copy=True)
         errors = self.model.constraint_errors(cfg)
-        return ModelWalkState(cfg, float(errors.sum()), errors)
+        return ModelWalkState(
+            cfg, float(errors.sum()), errors, self.model.linear_lhs(cfg)
+        )
 
     def swap_delta(self, state: ModelWalkState, i: int, j: int) -> float:
         return self.model.swap_cost_delta(
@@ -299,15 +328,16 @@ class ModelProblem(Problem):
 
     def swap_deltas(self, state: ModelWalkState, i: int) -> np.ndarray:
         return self.model.swap_cost_deltas(
-            state.config, state.constraint_errors, i
+            state.config, state.constraint_errors, i, state.lhs
         )
 
-    def apply_swap(self, state: ModelWalkState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: ModelWalkState, i: int, j: int, delta: float | None = None
+    ) -> None:
         self.model.apply_swap_update(
-            state.config, state.constraint_errors, i, j
+            state.config, state.constraint_errors, i, j, state.lhs
         )
         state.cost = float(state.constraint_errors.sum())
 
-    def variable_errors(self, state: WalkState) -> np.ndarray:
-        cached = getattr(state, "constraint_errors", None)
-        return self.model.variable_errors(state.config, cached)
+    def variable_errors(self, state: ModelWalkState) -> np.ndarray:
+        return self.model.variable_errors(state.config, state.constraint_errors)

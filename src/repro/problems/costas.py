@@ -12,17 +12,25 @@ factors): for every distance ``d`` and difference value ``v`` occurring
 ``c > 1`` times, add ``c - 1``.  Zero iff the permutation is a Costas array.
 
 Implementation note: this is the solver's hottest problem (the paper's CAP
-runs dominate the evaluation), and its swap neighbourhood touches only
-O(n) difference pairs, each a scalar bucket update — a regime where numpy's
-per-call overhead on tiny arrays loses badly.  The incremental state is
-therefore plain Python (nested count lists, precomputed pair tuples); the
-numpy interface (``config`` vector) is kept in sync for the generic
-protocol.  ``tests/problems`` asserts equivalence with the reference
-vectorized cost.
+runs dominate the evaluation).  One swap touches only O(n) difference
+pairs, each a scalar bucket update — a regime where numpy's per-call
+overhead on tiny arrays loses badly — so the incremental state and the
+pointwise kernels (``swap_delta``, ``apply_swap``, ``variable_errors``) are
+plain Python (nested count lists, precomputed pair tuples), with the numpy
+``config`` vector kept in sync for the generic protocol.  The all-``j``
+delta vector is the opposite regime, O(n^2) bucket updates per call, and is
+closed-form instead: the cost is ``n(n-1)/2 - sum_d distinct_d``, the
+differences at one distance fit a machine word as bits, so the post-swap
+difference triangle of every candidate comes out of one indicator-table
+product and ``distinct_d`` is a popcount of OR-reduced masks (the identity
+:mod:`repro.vector.problems` runs across lanes, here for one walk).
+``tests/problems`` asserts equivalence with the reference vectorized cost
+and of the closed form with the pointwise kernel.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -62,6 +70,11 @@ class CostasProblem(Problem):
 
     family = "costas"
 
+    #: largest order whose ``2n - 1`` difference values fit the int64 bit
+    #: mask of :meth:`swap_deltas`; beyond it the base class's pointwise
+    #: loop runs
+    MASK_MAX_N = 32
+
     def __init__(self, n: int = 12) -> None:
         if n < 2:
             raise ProblemError(f"costas needs n >= 2, got {n}")
@@ -78,6 +91,28 @@ class CostasProblem(Problem):
         self._pair_a = np.asarray([p[0] for p in self._pairs], dtype=np.int64)
         self._pair_b = np.asarray([p[1] for p in self._pairs], dtype=np.int64)
         self._pair_d = self._pair_b - self._pair_a
+
+    @cached_property
+    def _triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The difference triangle as a full ``(n-1, n-1)`` rectangle.
+
+        Returns ``(left, right, endpoint)``: slot ``[a, d-1]`` holds the
+        pair ``(a, a + d)``; a slot past the triangle's edge repeats the
+        pair ``(0, d)`` of its column, which an OR-reduction over the
+        column cannot see.  ``endpoint[a, d-1, pos]`` is
+        ``[right == pos] - [left == pos]``: how the slot's difference
+        moves with the value at ``pos``.
+        """
+        n = self._n
+        a = np.arange(n - 1)[:, None]
+        d = np.arange(1, n)[None, :]
+        left = np.where(a + d < n, a, 0)
+        right = left + d
+        pos = np.arange(n)
+        endpoint = (right[:, :, None] == pos).astype(np.int64) - (
+            left[:, :, None] == pos
+        )
+        return left, right, endpoint
 
     # ------------------------------------------------------------------
     @property
@@ -189,34 +224,45 @@ class CostasProblem(Problem):
         return float(delta)
 
     def swap_deltas(self, state: CostasState, i: int) -> np.ndarray:
-        deltas = np.zeros(self._n, dtype=np.float64)
-        swap_delta = self.swap_delta
-        for j in range(self._n):
-            if j != i:
-                deltas[j] = swap_delta(state, i, j)
+        n = self._n
+        if n > self.MASK_MAX_N:
+            return super().swap_deltas(state, i)  # pointwise, j by j
+        cfg = state.config
+        left, right, endpoint = self._triangle
+        # [a, d-1, j]: the triangle after swapping i <-> j, shifted to >= 0
+        diffs = (endpoint[:, :, i, None] - endpoint) * (cfg - cfg[i])
+        diffs += (cfg[right] - cfg[left] + (n - 1))[:, :, None]
+        seen = np.bitwise_or.reduce(np.left_shift(1, diffs), axis=0)
+        # cost = n(n-1)/2 - sum_d distinct_d, before and after
+        deltas = (n * (n - 1) // 2 - state.cost) - np.bitwise_count(seen).sum(
+            axis=0
+        )
+        deltas[i] = 0.0
         return deltas
 
-    def apply_swap(self, state: CostasState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: CostasState, i: int, j: int, delta: float | None = None
+    ) -> None:
         if i == j:
             return
         counts = state.counts
-        events = self._swap_events(state, i, j)
-        delta = 0
-        for d, ov, nv in events:
+        # moving the counts prices the swap on the way: ``delta`` is unused
+        moved = 0
+        for d, ov, nv in self._swap_events(state, i, j):
             row = counts[d]
             c = row[ov]
             if c > 1:
-                delta -= 1
+                moved -= 1
             row[ov] = c - 1
             c = row[nv]
             if c >= 1:
-                delta += 1
+                moved += 1
             row[nv] = c + 1
         values = state.values
         values[i], values[j] = values[j], values[i]
         cfg = state.config
         cfg[i], cfg[j] = cfg[j], cfg[i]
-        state.cost += delta
+        state.cost += moved
 
     def variable_errors(self, state: CostasState) -> np.ndarray:
         n = self._n

@@ -111,6 +111,12 @@ def declarative_queens(n: int = 8) -> ModelProblem:
     )
 
 
+def _duplicate_differences(values: np.ndarray) -> float:
+    # module-level, so that the model pickles (workers, content digests)
+    diffs = np.abs(np.diff(values))
+    return float(diffs.size - np.unique(diffs).size)
+
+
 @register_problem("all_interval_model")
 def declarative_all_interval(n: int = 8) -> ModelProblem:
     """All-interval series via a black-box duplicate-difference counter.
@@ -125,14 +131,9 @@ def declarative_all_interval(n: int = 8) -> ModelProblem:
     model = Model(f"all-interval-{n}")
     series = model.add_array("s", n, IntegerDomain(0, n - 1))
     model.declare_permutation(series)
-
-    def duplicate_differences(values: np.ndarray) -> float:
-        diffs = np.abs(np.diff(values))
-        return float(diffs.size - np.unique(diffs).size)
-
     model.add_constraint(
         FunctionalConstraint(
-            list(range(n)), duplicate_differences, name="distinct-diffs"
+            list(range(n)), _duplicate_differences, name="distinct-diffs"
         )
     )
     # same tuning as the native AllIntervalProblem

@@ -149,7 +149,9 @@ class LangfordProblem(Problem):
                 deltas[j] = self.swap_delta(state, i, j)
         return deltas
 
-    def apply_swap(self, state: LangfordState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: LangfordState, i: int, j: int, delta: float | None = None
+    ) -> None:
         if i == j:
             return
         cfg = state.config

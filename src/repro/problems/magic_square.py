@@ -8,8 +8,9 @@ row-major.  Cost = sum of ``|line_sum - M|`` over the ``2n + 2`` lines — the
 error function of the C ``magic-square.c`` benchmark.
 
 Incremental state caches the ``2n + 2`` line sums; a swap touches at most two
-rows, two columns and the diagonals, so deltas are O(1) and the all-``j``
-delta vector is fully vectorized.
+rows, two columns and the diagonals, so a pointwise delta is O(1) integer
+arithmetic and the all-``j`` delta vector is a handful of broadcasts over
+the ``(n, n)`` view of the configuration.
 """
 
 from __future__ import annotations
@@ -124,83 +125,128 @@ class MagicSquareProblem(Problem):
         self.check_configuration(config)
         cfg = np.array(config, dtype=np.int64, copy=True)
         rows, cols, diag, anti = self._line_sums(cfg)
-        cost = self.cost(cfg)
+        m = self.magic_constant
+        cost = float(
+            np.abs(rows - m).sum()
+            + np.abs(cols - m).sum()
+            + abs(diag - m)
+            + abs(anti - m)
+        )
         return MagicSquareState(cfg, cost, rows, cols, diag, anti)
 
     def swap_deltas(self, state: MagicSquareState, i: int) -> np.ndarray:
-        """Vectorized deltas of swapping cell ``i`` with every cell ``j``."""
-        cfg = state.config
+        """Vectorized deltas of swapping cell ``i`` with every cell ``j``.
+
+        Cell ``c`` sits in row ``c // n`` and column ``c % n``, so a row
+        (column) term is one broadcast over the ``(n, n)`` view of the
+        configuration, and the two diagonals are the strided views
+        ``[::n + 1]`` and ``[n - 1:-1:n - 1]`` of the flat one.
+        """
+        n = self._order
         m = self.magic_constant
-        vi = cfg[i]
-        dv = cfg - vi  # value gained by cell i's lines, lost by j's lines
-        ri, ci = int(self._rows[i]), int(self._cols[i])
+        cfg = state.config
+        ri, ci = divmod(i, n)
+        # value gained by the lines through i, lost by the lines through j
+        dv_flat = cfg - cfg[i]
+        dv = dv_flat.reshape(n, n)
+        r = state.row_sums - m
+        c = state.col_sums - m
+        row_err = np.abs(r)
+        col_err = np.abs(c)
 
-        rs, cs = state.row_sums, state.col_sums
-        # current absolute errors of every line
-        row_err = np.abs(rs - m)
-        col_err = np.abs(cs - m)
+        # |s_i + dv| - e_i + |s_j - dv| - e_j, zero when j shares the line
+        out = np.abs(dv + r[ri])
+        out += np.abs(r[:, None] - dv)
+        out -= row_err[:, None] + row_err[ri]
+        out[ri] = 0
+        col_term = np.abs(dv + c[ci])
+        col_term += np.abs(c - dv)
+        col_term -= col_err + col_err[ci]
+        col_term[:, ci] = 0
+        out += col_term
 
-        same_row = self._rows == ri
-        same_col = self._cols == ci
+        # a diagonal moves by ([i on it] - [j on it]) * dv: with i off it
+        # only its n cells have a term, with i on it every other cell does
+        flat = out.reshape(-1)
+        for on_line, line, s in (
+            (ri == ci, slice(None, None, n + 1), state.diag_sum - m),
+            (ri + ci == n - 1, slice(n - 1, -1, n - 1), state.anti_sum - m),
+        ):
+            if on_line:
+                term = np.abs(dv_flat + s)
+                term -= abs(s)
+                term[line] = 0
+                flat += term
+            else:
+                flat[line] += np.abs(s - dv_flat[line]) - abs(s)
 
-        # row of i gains dv unless j is in the same row
-        d_row_i = np.where(same_row, 0, np.abs(rs[ri] + dv - m) - row_err[ri])
-        d_row_j = np.where(
-            same_row, 0, np.abs(rs[self._rows] - dv - m) - row_err[self._rows]
-        )
-        d_col_i = np.where(same_col, 0, np.abs(cs[ci] + dv - m) - col_err[ci])
-        d_col_j = np.where(
-            same_col, 0, np.abs(cs[self._cols] - dv - m) - col_err[self._cols]
-        )
-
-        diag_err = abs(state.diag_sum - m)
-        anti_err = abs(state.anti_sum - m)
-        i_diag, i_anti = bool(self._on_diag[i]), bool(self._on_anti[i])
-        # net change of each diagonal's sum per candidate j
-        diag_change = (np.int64(i_diag) - self._on_diag.astype(np.int64)) * dv
-        anti_change = (np.int64(i_anti) - self._on_anti.astype(np.int64)) * dv
-        d_diag = np.abs(state.diag_sum + diag_change - m) - diag_err
-        d_anti = np.abs(state.anti_sum + anti_change - m) - anti_err
-
-        deltas = (d_row_i + d_row_j + d_col_i + d_col_j + d_diag + d_anti).astype(
-            np.float64
-        )
+        deltas = flat.astype(np.float64)
         deltas[i] = 0.0
         return deltas
 
     def swap_delta(self, state: MagicSquareState, i: int, j: int) -> float:
         if i == j:
             return 0.0
-        return float(self.swap_deltas(state, i)[j])
+        n = self._order
+        m = self.magic_constant
+        cfg = state.config
+        dv = int(cfg[j]) - int(cfg[i])
+        ri, ci = divmod(i, n)
+        rj, cj = divmod(j, n)
+        delta = 0
+        if ri != rj:
+            si, sj = int(state.row_sums[ri]) - m, int(state.row_sums[rj]) - m
+            delta += abs(si + dv) - abs(si) + abs(sj - dv) - abs(sj)
+        if ci != cj:
+            si, sj = int(state.col_sums[ci]) - m, int(state.col_sums[cj]) - m
+            delta += abs(si + dv) - abs(si) + abs(sj - dv) - abs(sj)
+        for s, change in (
+            (state.diag_sum - m, dv * ((ri == ci) - (rj == cj))),
+            (state.anti_sum - m, dv * ((ri + ci == n - 1) - (rj + cj == n - 1))),
+        ):
+            delta += abs(s + change) - abs(s)
+        return float(delta)
 
-    def apply_swap(self, state: MagicSquareState, i: int, j: int) -> None:
+    def apply_swap(
+        self,
+        state: MagicSquareState,
+        i: int,
+        j: int,
+        delta: float | None = None,
+    ) -> None:
         if i == j:
             return
-        delta = self.swap_delta(state, i, j)
+        if delta is None:
+            delta = self.swap_delta(state, i, j)
+        n = self._order
         cfg = state.config
-        dv = int(cfg[j] - cfg[i])
-        ri, ci = int(self._rows[i]), int(self._cols[i])
-        rj, cj = int(self._rows[j]), int(self._cols[j])
+        vi, vj = int(cfg[i]), int(cfg[j])
+        dv = vj - vi
+        ri, ci = divmod(i, n)
+        rj, cj = divmod(j, n)
         if ri != rj:
             state.row_sums[ri] += dv
             state.row_sums[rj] -= dv
         if ci != cj:
             state.col_sums[ci] += dv
             state.col_sums[cj] -= dv
-        state.diag_sum += dv * (int(self._on_diag[i]) - int(self._on_diag[j]))
-        state.anti_sum += dv * (int(self._on_anti[i]) - int(self._on_anti[j]))
-        cfg[i], cfg[j] = cfg[j], cfg[i]
+        state.diag_sum += dv * ((ri == ci) - (rj == cj))
+        state.anti_sum += dv * ((ri + ci == n - 1) - (rj + cj == n - 1))
+        cfg[i] = vj
+        cfg[j] = vi
         state.cost += delta
 
     def variable_errors(self, state: MagicSquareState) -> np.ndarray:
         """Each cell inherits the absolute errors of the lines through it."""
+        n = self._order
         m = self.magic_constant
-        row_err = np.abs(state.row_sums - m).astype(np.float64)
-        col_err = np.abs(state.col_sums - m).astype(np.float64)
-        errors = row_err[self._rows] + col_err[self._cols]
-        errors += np.where(self._on_diag, abs(state.diag_sum - m), 0)
-        errors += np.where(self._on_anti, abs(state.anti_sum - m), 0)
-        return errors
+        errors = np.add.outer(
+            np.abs(state.row_sums - m), np.abs(state.col_sums - m)
+        ).astype(np.float64)
+        flat = errors.reshape(-1)
+        flat[:: n + 1] += abs(state.diag_sum - m)
+        flat[n - 1 : -1 : n - 1] += abs(state.anti_sum - m)
+        return flat
 
     # ------------------------------------------------------------------
     def render(self, config: np.ndarray) -> str:

@@ -117,7 +117,9 @@ class PartitionProblem(Problem):
             return 0.0
         return float(self.swap_deltas(state, i)[j])
 
-    def apply_swap(self, state: PartitionState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: PartitionState, i: int, j: int, delta: float | None = None
+    ) -> None:
         if i == j:
             return
         cfg = state.config

@@ -235,7 +235,13 @@ class PerfectSquareProblem(Problem):
         cfg = np.array(config, dtype=np.int64, copy=True)
         return PerfectSquareState(cfg, self.decode(cfg))
 
-    def apply_swap(self, state: PerfectSquareState, i: int, j: int) -> None:
+    def apply_swap(
+        self,
+        state: PerfectSquareState,
+        i: int,
+        j: int,
+        delta: float | None = None,
+    ) -> None:
         cfg = state.config
         cfg[i], cfg[j] = cfg[j], cfg[i]
         state.decode = self.decode(cfg)

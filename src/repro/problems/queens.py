@@ -139,10 +139,13 @@ class QueensProblem(Problem):
                 deltas[j] = self.swap_delta(state, i, j)
         return deltas
 
-    def apply_swap(self, state: QueensState, i: int, j: int) -> None:
+    def apply_swap(
+        self, state: QueensState, i: int, j: int, delta: float | None = None
+    ) -> None:
         if i == j:
             return
-        delta = self.swap_delta(state, i, j)
+        if delta is None:
+            delta = self.swap_delta(state, i, j)
         cfg = state.config
         n = self._n
         vi, vj = int(cfg[i]), int(cfg[j])

@@ -7,6 +7,8 @@ positions outside the constraint's scope), and must leave the assignment
 untouched.  These invariants are what make the incremental model path sound.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from repro.csp.constraints import (
     FunctionalConstraint,
     LinearConstraint,
 )
+from repro.csp.domain import IntegerDomain
 from repro.csp.global_constraints import (
     AbsoluteDifference,
     ElementConstraint,
@@ -25,6 +28,7 @@ from repro.csp.global_constraints import (
     NotAllEqual,
     SumConstraint,
 )
+from repro.csp.model import Model
 
 N_VARS = 10
 RELATIONS = ["==", "!=", "<=", "<", ">=", ">"]
@@ -167,3 +171,141 @@ class TestSwapErrorsKernels:
     ):
         got = constraint.swap_errors(assignment, i, np.asarray([i]))
         assert got[0] == pytest.approx(constraint.error(assignment))
+
+
+# ----------------------------------------------------------------------
+# the model's stacked linear block ≡ its constraints, one at a time
+# ----------------------------------------------------------------------
+@st.composite
+def linear_constraints(draw):
+    """Non-unit, negative and zero coefficients; every relation."""
+    scope = subset(draw, 1, 6)
+    coeffs = draw(
+        st.lists(
+            st.integers(-3, 3).map(float),
+            min_size=len(scope),
+            max_size=len(scope),
+        )
+    )
+    return LinearConstraint(
+        scope, coeffs, draw(st.sampled_from(RELATIONS)), draw(st.integers(-10, 30))
+    )
+
+
+def model_of(constraint_list):
+    model = Model("stacked")
+    model.add_array("x", N_VARS, IntegerDomain(-4, 12))
+    model.add_constraints(constraint_list)
+    return model
+
+
+def one_at_a_time_deltas(model, assignment, i):
+    js = np.arange(N_VARS, dtype=np.int64)
+    deltas = np.zeros(N_VARS)
+    for constraint in model.constraints:
+        deltas += constraint.swap_errors(assignment, i, js) - constraint.error(
+            assignment
+        )
+    return deltas
+
+
+def one_at_a_time_projection(model, assignment):
+    errors = np.zeros(N_VARS)
+    for constraint in model.constraints:
+        errors[constraint.variables] += constraint.variable_errors(assignment)
+    return errors
+
+
+class TestStackedLinearBlock:
+    """Integer coefficients and right-hand sides: the block's answers are
+    the per-constraint answers bit for bit, not approximately."""
+
+    @given(
+        rows=st.lists(linear_constraints(), min_size=1, max_size=6),
+        assignment=assignments,
+        i=st.integers(0, N_VARS - 1),
+    )
+    @prop_settings
+    def test_linear_model_bit_for_bit(self, rows, assignment, i):
+        model = model_of(rows)
+        errors = model.constraint_errors(assignment)
+        assert errors.tolist() == [c.error(assignment) for c in rows]
+        want = one_at_a_time_deltas(model, assignment, i)
+        assert np.array_equal(model.swap_cost_deltas(assignment, errors, i), want)
+        assert np.array_equal(
+            model.swap_cost_deltas(
+                assignment, errors, i, model.linear_lhs(assignment)
+            ),
+            want,
+        )
+        projection = one_at_a_time_projection(model, assignment)
+        assert np.array_equal(model.variable_errors(assignment, errors), projection)
+        assert np.array_equal(model.variable_errors(assignment), projection)
+
+    @given(
+        rows=st.lists(linear_constraints(), min_size=1, max_size=4),
+        scope=st.lists(
+            st.integers(0, N_VARS - 1), min_size=2, max_size=N_VARS, unique=True
+        ),
+        assignment=assignments,
+        i=st.integers(0, N_VARS - 1),
+    )
+    @prop_settings
+    def test_mixed_linear_and_alldifferent(self, rows, scope, assignment, i):
+        # the block between two constraints that stay on the per-constraint
+        # path, so the two paths have to interleave correctly
+        model = model_of([AllDifferent(scope), *rows, AllDifferent(scope[:2])])
+        errors = model.constraint_errors(assignment)
+        assert errors.tolist() == [c.error(assignment) for c in model.constraints]
+        assert np.array_equal(
+            model.swap_cost_deltas(assignment, errors, i),
+            one_at_a_time_deltas(model, assignment, i),
+        )
+        # projections of different constraints are added in another order
+        # than one at a time; with weights like 3/7 that may show in the
+        # last place
+        np.testing.assert_allclose(
+            model.variable_errors(assignment, errors),
+            one_at_a_time_projection(model, assignment),
+            rtol=1e-12,
+        )
+
+    @given(
+        rows=st.lists(linear_constraints(), min_size=1, max_size=5),
+        with_alldiff=st.booleans(),
+        assignment=assignments,
+        swaps=st.lists(
+            st.tuples(st.integers(0, N_VARS - 1), st.integers(0, N_VARS - 1)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @prop_settings
+    def test_committed_swaps_keep_both_caches_current(
+        self, rows, with_alldiff, assignment, swaps
+    ):
+        extra = [AllDifferent(list(range(0, N_VARS, 2)))] if with_alldiff else []
+        model = model_of(rows + extra)
+        errors = model.constraint_errors(assignment)
+        lhs = model.linear_lhs(assignment)
+        for i, j in swaps:
+            model.apply_swap_update(assignment, errors, i, j, lhs)
+            assert np.array_equal(lhs, model.linear_lhs(assignment))
+            assert errors.tolist() == [
+                c.error(assignment) for c in model.constraints
+            ]
+
+    def test_block_is_recompiled_after_add_constraint(self):
+        model = model_of([LinearConstraint([0, 1], [1.0, 2.0], "<=", 3)])
+        assignment = np.arange(N_VARS, dtype=np.int64)
+        assert model.constraint_errors(assignment).tolist() == [0.0]
+        model.add_constraint(LinearConstraint([2, 3], [1.0, -1.0], "==", 4))
+        assert model.linear_lhs(assignment).tolist() == [2.0, -1.0]
+        assert model.constraint_errors(assignment).tolist() == [0.0, 5.0]
+
+    def test_compiled_tables_are_not_pickled(self):
+        model = model_of([LinearConstraint([0, 1], [1.0, 2.0], "<=", 3)])
+        fresh = pickle.dumps(model)
+        model.incidence_index()
+        model.constraint_errors(np.arange(N_VARS, dtype=np.int64))
+        assert pickle.dumps(model) == fresh

@@ -225,7 +225,7 @@ class CountdownProblem(Problem):
         deltas[i] = 0.0
         return deltas
 
-    def apply_swap(self, state, i, j):
+    def apply_swap(self, state, i, j, delta=None):
         cfg = state.config
         cfg[i], cfg[j] = cfg[j], cfg[i]
         state.cost = 0.0 if state.fast and state.ticks >= self.FAST else 1.0

@@ -8,6 +8,7 @@ cleanly, after a worker hard-crash, or under a chaos fault plan — no
 silently (no KeyError spam, no "leaked shared_memory" warnings).
 """
 
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +19,20 @@ import pytest
 from repro.chaos import FaultPlan, WalkFault
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.solver import AdaptiveSearch
+from repro.core.value_solver import ValueAdaptiveSearch
 from repro.errors import ParallelError
 from repro.parallel.shm import (
     SharedProblemStore,
     attach_problem,
     problem_digest,
 )
-from repro.problems import CostasProblem, MagicSquareProblem
+from repro.problems import (
+    CostasProblem,
+    MagicSquareProblem,
+    available_problems,
+    make_problem,
+)
+from repro.problems.value_base import ValueProblem
 from repro.service import JobStatus, RetryPolicy, SolverService
 
 SHM_DIR = Path("/dev/shm")
@@ -77,6 +85,23 @@ class TestPublishAttach:
         with SharedProblemStore() as store:
             manifest = store.publish(problem)
             assert manifest.digest == problem_digest(problem)
+
+    @pytest.mark.parametrize("name", available_problems())
+    def test_digest_and_pickle_do_not_change_with_use(self, name):
+        """Tables an instance builds at its first walk are derived, not
+        content: a problem that has walked must not re-ship or re-publish
+        as a new one (``known_problems``, ``_problem_cache``, the store)."""
+        problem = make_problem(name)
+        fresh = problem_digest(problem), len(pickle.dumps(problem))
+        solver = (
+            ValueAdaptiveSearch if isinstance(problem, ValueProblem)
+            else AdaptiveSearch
+        )
+        result = solver(AdaptiveSearchConfig(max_iterations=50)).solve(
+            problem, seed=0
+        )
+        assert result.stats.iterations > 0
+        assert (problem_digest(problem), len(pickle.dumps(problem))) == fresh
 
     def test_publish_deduplicates_by_identity_and_content(self):
         problem = MagicSquareProblem(5)

@@ -5,6 +5,8 @@ swap application) must agree exactly with stateless full re-evaluation.
 These invariants are what make the solver's O(n)-per-iteration loop sound.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +40,18 @@ PROBLEMS = [
     pytest.param(declarative_queens(8), id="queens_model-8"),
     pytest.param(declarative_all_interval(9), id="all_interval_model-9"),
 ]
+
+
+def state_caches(state) -> dict:
+    """Every slot of a walk state but its cost, in comparable form (a
+    cache may be an array, a nested list or a dataclass holding either)."""
+    return {
+        slot: pickle.dumps(getattr(state, slot))
+        for klass in type(state).__mro__
+        for slot in getattr(klass, "__slots__", ())
+        if slot != "cost"
+    }
+
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 prop_settings = settings(
@@ -98,6 +112,25 @@ class TestIncrementalInvariants:
             i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
             problem.apply_swap(state, i, j)
             assert state.cost == pytest.approx(problem.cost(state.config))
+
+    @given(seed=seeds)
+    @prop_settings
+    def test_apply_swap_with_the_priced_delta_is_the_same_commit(
+        self, problem, seed
+    ):
+        """``apply_swap(state, i, j, delta)`` ≡ ``apply_swap(state, i, j)``:
+        configuration, cost and every cache slot."""
+        rng = np.random.default_rng(seed)
+        config = problem.random_configuration(rng)
+        handed, priced = problem.init_state(config), problem.init_state(config)
+        n = problem.size
+        for _ in range(8):
+            i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+            delta = problem.swap_delta(handed, i, j)
+            problem.apply_swap(handed, i, j, delta)
+            problem.apply_swap(priced, i, j)
+            assert handed.cost == priced.cost
+            assert state_caches(handed) == state_caches(priced)
 
     @given(seed=seeds)
     @prop_settings
@@ -174,3 +207,29 @@ class TestConfigurationBasics:
 
         # merged_with validates key names
         AdaptiveSearchConfig().merged_with(problem.default_solver_parameters())
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # the widest instances the closed-form swap_deltas take (their
+        # largest difference sets the top usable mask bit) and the first
+        # ones that fall back to the pointwise loop
+        pytest.param(AllIntervalProblem(AllIntervalProblem.MASK_MAX_N), id="ai-62"),
+        pytest.param(AllIntervalProblem(AllIntervalProblem.MASK_MAX_N + 1), id="ai-63"),
+        pytest.param(CostasProblem(CostasProblem.MASK_MAX_N), id="costas-32"),
+        pytest.param(CostasProblem(CostasProblem.MASK_MAX_N + 1), id="costas-33"),
+    ],
+)
+def test_swap_deltas_at_and_beyond_the_mask_width(problem):
+    rng = np.random.default_rng(7)
+    n = problem.size
+    # the extreme differences present: identity-like and reversed stretches
+    configs = [problem.random_configuration(rng), np.arange(n)[::-1].copy()]
+    for config in configs:
+        state = problem.init_state(config)
+        for i in (0, n // 2, n - 1):
+            deltas = problem.swap_deltas(state, i)
+            assert deltas.dtype == np.float64 and deltas[i] == 0.0
+            for j in range(n):
+                assert deltas[j] == problem.swap_delta(state, i, j)

@@ -13,6 +13,14 @@ from repro.service import Job, JobStatus, SolverService, WorkerPool
 CFG = AdaptiveSearchConfig(max_iterations=200_000)
 
 
+def long_job():
+    """A one-walk job that outlasts every deadline, cancel and timeout
+    below by seconds, not tenths: magic square 16, whose walk 0 under
+    ``seed=0`` needs 62 452 iterations (order 10, used until the scalar
+    engine got ~2.5x faster, is done in 5 695 — inside a 0.3 s deadline)."""
+    return make_problem("magic_square", n=16)
+
+
 class TestConstruction:
     def test_needs_workers_or_pool(self):
         with pytest.raises(ParallelError, match="n_workers"):
@@ -58,7 +66,7 @@ class TestSingleJob:
         assert len(result.walks) == 2
 
     def test_deadline_times_out(self):
-        problem = make_problem("magic_square", n=10)
+        problem = long_job()
         with SolverService(1) as service:
             result = service.solve(
                 problem, 1, seed=0,
@@ -69,7 +77,7 @@ class TestSingleJob:
         assert result.latency >= 0.3
 
     def test_client_cancel(self):
-        problem = make_problem("magic_square", n=10)
+        problem = long_job()
         with SolverService(1) as service:
             handle = service.submit(
                 problem, 1, seed=0, config=AdaptiveSearchConfig()
@@ -79,7 +87,7 @@ class TestSingleJob:
         assert result.status is JobStatus.CANCELLED
 
     def test_result_timeout_raises(self):
-        problem = make_problem("magic_square", n=10)
+        problem = long_job()
         with SolverService(1) as service:
             handle = service.submit(
                 problem, 1, seed=0, config=AdaptiveSearchConfig()
@@ -163,7 +171,7 @@ class TestDeadlineEdgeCases:
         """A 1-worker pool is busy with another job, so the deadlined
         job's walks never reach a worker — the deadline must fire anyway
         (enforcement is scheduler-side, not walk-side)."""
-        blocker_problem = make_problem("magic_square", n=10)
+        blocker_problem = long_job()
         with SolverService(1) as service:
             blocker = service.submit(
                 blocker_problem, 1, seed=0, config=AdaptiveSearchConfig()
@@ -212,7 +220,7 @@ class TestLifecycle:
             service.submit(CostasProblem(7), 1, seed=0, config=CFG)
 
     def test_shutdown_without_waiting_cancels_jobs(self):
-        problem = make_problem("magic_square", n=10)
+        problem = long_job()
         service = SolverService(1).start()
         handle = service.submit(
             problem, 1, seed=0, config=AdaptiveSearchConfig()

@@ -111,7 +111,8 @@ class TestEventsNotTimers:
     def test_deadline_fires_on_time(self):
         with SolverService(1) as service:
             result = service.solve(
-                make_problem("magic_square", n=10), 1, seed=0,
+                # walk 0 under seed 0 needs 62 452 iterations: seconds
+                make_problem("magic_square", n=16), 1, seed=0,
                 config=UNBOUNDED, deadline=0.05, timeout=30,
             )
         assert result.status is JobStatus.TIMED_OUT

@@ -57,7 +57,10 @@ def test_service_signal_reaps_workers(tmp_path, signum):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "service",
-            "--family", "magic_square", "--set", "n=14",  # hours of work
+            # unseeded scalar walks that have to outlast the 0.5 s below:
+            # order 40 is minutes of work under any seed (order 14 can be
+            # done in under a second)
+            "--family", "magic_square", "--set", "n=40",
             "--workers", "2", "--jobs", "2",
             "--pid-file", str(pid_file),
         ],
