@@ -3,7 +3,8 @@
 The scalar solver emits through per-iteration callbacks; the vector engine
 has no per-iteration seam (a round advances *all* lanes at once), so this
 adapter hooks the engine's ``round_callback`` instead and samples the
-per-lane iteration counters the engine already maintains as arrays.
+engine's per-lane views (``iterations`` / ``cost`` / ``best_cost`` /
+``active``, assembled per original lane each time they are read).
 
 Mirroring :func:`repro.telemetry.solver.solver_callbacks`, the factory
 returns ``None`` when telemetry is off, so a telemetry-off vector run
@@ -68,13 +69,14 @@ class VectorTelemetry:
         """Emit one ``WalkStart`` per lane (call before ``engine.run()``)."""
         self._started = True
         self._lanes.inc(engine.k)
-        for lane in range(engine.k):
+        # the engine assembles its per-lane views on demand: read each once
+        for lane, cost in enumerate(engine.cost.tolist()):
             self.recorder.emit(
                 WalkStart(
                     trace_id=self.trace_id,
                     job_id=self.job_id,
                     walk_id=self._walk_id(lane),
-                    cost=float(engine.cost[lane]),
+                    cost=cost,
                 )
             )
 

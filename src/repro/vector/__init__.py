@@ -2,8 +2,8 @@
 
 See :mod:`repro.vector.engine` for the engine and equivalence contract,
 :mod:`repro.vector.problems` for the batched per-problem kernels, and
-DESIGN.md ("Vector-walk engine") for the lane layout and masked
-bookkeeping scheme.
+DESIGN.md ("Vector-walk engine") for the lane layout, the every-row-is-a-
+live-lane invariant and the round-cost model.
 """
 
 from repro.vector.engine import VectorRunOutcome, VectorWalkEngine, solve_vector

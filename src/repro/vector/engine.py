@@ -14,17 +14,30 @@ Lane ``l`` seeded with ``seeds[l]`` produces the *bit-identical* trajectory
 (configurations, costs, marks, counters, RNG stream) of a scalar
 ``AdaptiveSearch`` walk with the same seed and configuration:
 
-- all batched quantities (errors, deltas, costs) are exact integers in
-  float64, computed by kernels verified equal to the scalar protocol;
+- all batched quantities (errors, deltas, costs) are exact integers,
+  computed by kernels verified equal to the scalar protocol;
 - RNG draws happen per lane, on that lane's own generator, at exactly the
   scalar call sites (tie-breaks, local-minimum acceptance, reset swaps,
   restart shuffles) — lanes are independent streams, so batching never
   reorders draws *within* a lane;
-- control flow is replicated per lane via boolean masks in the same order
-  as the scalar loop: solved check, restart check, budget check, iterate.
+- the scalar loop's order of checks is kept: solved, restart, budget,
+  iterate.
 
-The property test in ``tests/vector/test_equivalence.py`` pins this down
-across problem families.
+The property tests in ``tests/vector`` pin this down across problem
+families, widths and reset/restart-heavy regimes.
+
+Every row is a live lane
+------------------------
+The ``(m, ...)`` arrays of a batch hold the ``m`` lanes still running and
+nothing else.  A lane that finishes is *retired* the round it finishes: its
+result is captured, its row leaves every array and the generator list, and
+the problem adapter is rebuilt at the new width.  The round therefore has no
+live-subset bookkeeping: a live lane's iteration count *is* the round
+number, marks compare against one scalar, counters update by mask adds, and
+marks and configurations are written through flat ``lane * n + variable``
+indices.  What stays per lane is the draws — the contract above — and the
+partial resets they drive.  ``iterations`` / ``cost`` / ``best_cost`` /
+``active`` are assembled per *original* lane on demand.
 
 First-finisher semantics
 ------------------------
@@ -32,7 +45,7 @@ With ``first_wins=True`` (the multi-walk executor's mode) the batch stops
 as soon as any lane solves; still-running lanes report ``CANCELLED`` with
 their current iteration counts, mirroring the process executor's cancel
 event.  With ``first_wins=False`` every lane runs to its own termination
-(solved lanes freeze while stragglers continue), mirroring the inline
+(stragglers continue in an ever narrower batch), mirroring the inline
 executor and ``collect_samples``.
 
 Time limits are honoured at round granularity (every lane shares the
@@ -51,6 +64,7 @@ import numpy as np
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.result import SolveResult, SolveStats
 from repro.core.termination import TerminationReason
+from repro.csp.permutation import random_partial_reset
 from repro.errors import SolverError
 from repro.parallel.seeding import walk_seeds
 from repro.problems.base import Problem
@@ -61,14 +75,28 @@ from repro.vector.selection import argmin_lanes, masked_argmax_lanes
 
 __all__ = ["VectorWalkEngine", "VectorRunOutcome", "solve_vector"]
 
+#: rows of the ``(7, m)`` counter array; a local minimum always freezes its
+#: variable, so those two rows are adjacent and updated as one slice
 _STAT_FIELDS = (
     "swaps",
-    "local_minima",
     "plateau_moves",
     "accepted_local_min_moves",
+    "local_minima",
     "frozen_variables",
     "resets",
     "restarts",
+)
+_SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS = range(7)
+
+#: the per-lane arrays a retirement compresses (the counters aside)
+_LANE_ARRAYS = (
+    "_lanes",
+    "_configs",
+    "_cost",
+    "_best_cost",
+    "_best_configs",
+    "_marks",
+    "_restart_due",
 )
 
 
@@ -158,12 +186,12 @@ class VectorWalkEngine:
         self.vp = vector_problem or as_vector_problem(problem, k)
 
         n = self.n
-        self.configs = np.empty((k, n), dtype=np.int64)
+        self._configs = np.empty((k, n), dtype=np.int64)
         for lane in range(k):
-            self.configs[lane] = problem.random_configuration(self.rngs[lane])
-        self.cost = self.vp.lane_costs(self.configs)
-        self.best_cost = self.cost.copy()
-        self.best_configs = self.configs.copy()
+            self._configs[lane] = problem.random_configuration(self.rngs[lane])
+        self._cost = self.vp.lane_costs(self._configs)
+        self._best_cost = self._cost.copy()
+        self._best_configs = self._configs.copy()
         # narrow marks halve (or quarter) the per-round tabu-mask traffic:
         # a mark never exceeds the global iteration budget plus the longest
         # freeze tenure, so int16 is exact whenever that bound fits;
@@ -174,300 +202,283 @@ class VectorWalkEngine:
             if math.isfinite(base.max_iterations)
             else math.inf
         )
-        self._mdt = (
+        mark_dtype = (
             np.int16 if mark_bound < np.iinfo(np.int16).max else np.int32
         )
-        self.marks = np.zeros((k, n), dtype=self._mdt)
-        self._it_m = np.zeros(k, dtype=self._mdt)
-        self._eligible = np.empty((k, n), dtype=bool)
-        self.iterations = np.zeros(k, dtype=np.int64)
-        self._restart_iterations = np.zeros(k, dtype=np.int64)
-        self._restart_index = np.zeros(k, dtype=np.int64)
-        self.stats = {name: np.zeros(k, dtype=np.int64) for name in _STAT_FIELDS}
-        self.active = np.ones(k, dtype=bool)
-        self._reasons: list[Optional[TerminationReason]] = [None] * k
-        self._finish_time = np.zeros(k, dtype=np.float64)
+        self._marks = np.zeros((k, n), dtype=mark_dtype)
+        self._stats = np.zeros((len(_STAT_FIELDS), k), dtype=np.int64)
+        # the round a lane's next restart falls due; only a restart moves it
+        self._restart_due = np.full(k, base.restart_limit, dtype=np.float64)
+        self._next_restart = base.restart_limit
+        #: original lane of every live row
+        self._lanes = np.arange(k)
+        self._walks: list[Optional[SolveResult]] = [None] * k
+        self._done_iterations = np.zeros(k, dtype=np.int64)
+        self._done_cost = np.zeros(k, dtype=np.float64)
+        self._done_best_cost = np.zeros(k, dtype=np.float64)
         self._stopwatch = Stopwatch()
         self.rounds = 0
-        self._n_solved = 0
         self._sentinel = self.vp.delta_sentinel
-        self._i_sel = np.zeros(k, dtype=np.int64)
-        self._all_lanes = np.arange(k)
-        self._better = np.empty(k, dtype=bool)
+        self._set_width()
+
+    def _set_width(self) -> None:
+        """Per-width scratch: flat row bounds, buffers, cached draw methods."""
+        m = len(self.rngs)
+        self._bounds = np.arange(m + 1) * self.n
+        self._eligible = np.empty((m, self.n), dtype=bool)
+        self._better = np.empty(m, dtype=bool)
+        self._integers = [rng.integers for rng in self.rngs]
+        self._randoms = [rng.random for rng in self.rngs]
 
     # ------------------------------------------------------------------
+    # per-original-lane views, assembled on demand: finished lanes stay at
+    # their final values, live lanes report the batch's current ones
+    # ------------------------------------------------------------------
+    def _per_lane(self, done: np.ndarray, live) -> np.ndarray:
+        out = done.copy()
+        out[self._lanes] = live
+        return out
+
+    @property
+    def iterations(self) -> np.ndarray:
+        return self._per_lane(self._done_iterations, self.rounds)
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self._per_lane(self._done_cost, self._cost)
+
+    @property
+    def best_cost(self) -> np.ndarray:
+        return self._per_lane(self._done_best_cost, self._best_cost)
+
+    @property
+    def active(self) -> np.ndarray:
+        return self._per_lane(np.zeros(self.k, dtype=bool), True)
+
     @property
     def solved_lanes(self) -> list[int]:
         return [
             lane
-            for lane, reason in enumerate(self._reasons)
-            if reason is TerminationReason.SOLVED
+            for lane, walk in enumerate(self._walks)
+            if walk is not None and walk.solved
         ]
-
-    def _finish(self, lane: int, reason: TerminationReason) -> None:
-        self.active[lane] = False
-        self._reasons[lane] = reason
-        self._finish_time[lane] = self._stopwatch.elapsed
-        if reason is TerminationReason.SOLVED:
-            self._n_solved += 1
-
-    def _cancel_live(self) -> None:
-        for lane in np.flatnonzero(self.active):
-            self._finish(int(lane), TerminationReason.CANCELLED)
 
     # ------------------------------------------------------------------
     def run(self) -> VectorRunOutcome:
         """Run every lane to termination; see class docstring for modes."""
         sw = self._stopwatch
         callback = self.round_callback
-        first_wins = self.first_wins
         time_limit = self.config.time_limit
         timed = math.isfinite(time_limit)
         with sw:
             while True:
                 self._pre_phase()
-                if first_wins and self._n_solved:
-                    self._cancel_live()
-                if not self.active.any():
+                if not self.rngs:
                     break
                 self._round()
                 self.rounds += 1
-                if callback is not None:
-                    if callback(self) is False:
-                        self._cancel_live()
-                        break
-                if timed and sw.elapsed >= time_limit:
-                    for lane in np.flatnonzero(self.active):
-                        self._finish(int(lane), TerminationReason.TIME_LIMIT)
+                if callback is not None and callback(self) is False:
+                    self._retire_all(TerminationReason.CANCELLED)
                     break
-        return self._package()
+                if timed and sw.elapsed >= time_limit:
+                    self._retire_all(TerminationReason.TIME_LIMIT)
+                    break
+        return VectorRunOutcome(walks=list(self._walks), elapsed=sw.elapsed)
 
     # ------------------------------------------------------------------
     def _pre_phase(self) -> None:
-        """Per-lane solved / restart / iteration-budget checks, in the
-        scalar loop's order and precedence."""
+        """Solved / restart / iteration-budget checks, in the scalar loop's
+        order and precedence; lanes that end here are retired."""
         cfg = self.config
-        active = self.active
-        solved = active & (self.cost <= cfg.target_cost)
-        if solved.any():
-            for lane in np.flatnonzero(solved):
-                self._finish(int(lane), TerminationReason.SOLVED)
-        if math.isfinite(cfg.restart_limit):
-            due = active & (self._restart_iterations >= cfg.restart_limit)
-            if due.any():
-                for lane in np.flatnonzero(due):
-                    self._restart_lane(int(lane))
-        if math.isfinite(cfg.max_iterations):
-            over = active & (self.iterations >= cfg.max_iterations)
-            if over.any():
-                for lane in np.flatnonzero(over):
-                    self._finish(int(lane), TerminationReason.MAX_ITERATIONS)
+        done: dict[int, TerminationReason] = {}
+        if self._cost.min() <= cfg.target_cost:
+            for row in (self._cost <= cfg.target_cost).nonzero()[0].tolist():
+                done[row] = TerminationReason.SOLVED
+        if self.rounds >= self._next_restart:
+            for row in (self._restart_due <= self.rounds).nonzero()[0].tolist():
+                if row not in done:
+                    reason = self._restart_row(row)
+                    if reason is not None:
+                        done[row] = reason
+        if self.rounds >= cfg.max_iterations:
+            for row in range(len(self.rngs)):
+                done.setdefault(row, TerminationReason.MAX_ITERATIONS)
+        if done:
+            self._retire(done)
+        if self.rounds >= self._next_restart and self.rngs:
+            # the lanes that were due have restarted or left the batch
+            self._next_restart = self._restart_due.min()
 
-    def _restart_lane(self, lane: int) -> None:
+    def _restart_row(self, row: int) -> Optional[TerminationReason]:
+        """Restart one lane; the reason it ends instead, if it does."""
         cfg = self.config
-        if self._restart_index[lane] >= cfg.max_restarts:
-            self._finish(lane, TerminationReason.RESTARTS_EXHAUSTED)
-            return
-        self._restart_index[lane] += 1
-        self.stats["restarts"][lane] += 1
-        start = self.problem.random_configuration(self.rngs[lane])
-        self.configs[lane] = start
-        self.cost[lane] = self.problem.cost(start)
-        self.vp.notify_rows([lane], self.configs)
-        self.marks[lane, :] = 0
-        self._restart_iterations[lane] = 0
-        self._track_best_lane(lane)
-        if self.cost[lane] <= cfg.target_cost:
-            self._finish(lane, TerminationReason.SOLVED)
+        restarts = self._stats[_RESTARTS]
+        if restarts[row] >= cfg.max_restarts:
+            return TerminationReason.RESTARTS_EXHAUSTED
+        restarts[row] += 1
+        start = self.problem.random_configuration(self.rngs[row])
+        self._configs[row] = start
+        self._cost[row] = self.problem.cost(start)
+        self.vp.notify_rows([row], self._configs)
+        self._marks[row] = 0
+        self._restart_due[row] = self.rounds + cfg.restart_limit
+        if self._cost[row] < self._best_cost[row]:
+            self._best_cost[row] = self._cost[row]
+            self._best_configs[row] = start
+        if self._cost[row] <= cfg.target_cost:
+            return TerminationReason.SOLVED
+        return None
 
-    def _track_best_lane(self, lane: int) -> None:
-        if self.cost[lane] < self.best_cost[lane]:
-            self.best_cost[lane] = self.cost[lane]
-            self.best_configs[lane] = self.configs[lane]
+    def _partial_reset(self, row: int) -> None:
+        """The scalar partial reset on one lane's row (same RNG calls)."""
+        config = self._configs[row]
+        random_partial_reset(config, self.config.reset_fraction, self.rngs[row])
+        self._stats[_RESETS, row] += 1
+        self._marks[row] = 0
+        self._cost[row] = self.problem.cost(config)
+        self.vp.notify_rows([row], self._configs)
 
-    def _partial_reset(self, lane: int) -> None:
-        """Exact replica of the scalar partial reset (same RNG calls)."""
-        rng = self.rngs[lane]
-        n = self.n
-        row = self.configs[lane]
-        n_swaps = max(1, int(np.ceil(self.config.reset_fraction * n / 2.0)))
-        for _ in range(n_swaps):
-            a, b = rng.integers(0, n, size=2)
-            row[a], row[b] = row[b], row[a]
-        self.stats["resets"][lane] += 1
-        self.marks[lane, :] = 0
-        self.cost[lane] = self.problem.cost(row)
-        self.vp.notify_rows([lane], self.configs)
+    # ------------------------------------------------------------------
+    def _retire_all(self, reason: TerminationReason) -> None:
+        self._retire(dict.fromkeys(range(len(self.rngs)), reason))
+
+    def _retire(self, done: dict[int, TerminationReason]) -> None:
+        """Capture the results of the rows in ``done`` and drop them from
+        the batch (under ``first_wins`` a solver takes everyone with it)."""
+        m = len(self.rngs)
+        if self.first_wins and TerminationReason.SOLVED in done.values():
+            for row in range(m):
+                done.setdefault(row, TerminationReason.CANCELLED)
+        now = self._stopwatch.elapsed
+        problem_name = self.problem.name
+        for row, reason in done.items():
+            lane = int(self._lanes[row])
+            counters = dict(zip(_STAT_FIELDS, self._stats[:, row].tolist()))
+            self._walks[lane] = SolveResult(
+                solved=reason is TerminationReason.SOLVED,
+                config=self._best_configs[row].copy(),
+                cost=float(self._best_cost[row]),
+                reason=reason,
+                stats=SolveStats(
+                    iterations=self.rounds, wall_time=now, **counters
+                ),
+                problem_name=problem_name,
+                solver_name=self.solver_name,
+            )
+            self._done_iterations[lane] = self.rounds
+            self._done_cost[lane] = self._cost[row]
+            self._done_best_cost[lane] = self._best_cost[row]
+        keep = np.ones(m, dtype=bool)
+        keep[list(done)] = False
+        for name in _LANE_ARRAYS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._stats = self._stats[:, keep]
+        self.rngs = [rng for rng, kept in zip(self.rngs, keep.tolist()) if kept]
+        if self.rngs:
+            # every adapter starts from a bare configuration matrix
+            self.vp = type(self.vp)(self.problem, len(self.rngs))
+            self._set_width()
 
     # ------------------------------------------------------------------
     def _round(self) -> None:
-        """One lock-step iteration across all live lanes."""
+        """One lock-step iteration of every lane."""
         cfg = self.config
-        active = self.active
-        rngs = self.rngs
-        marks = self.marks
-        it = self.iterations
-        all_live = bool(active.all())
-        if all_live:
-            it += 1
-            self._restart_iterations += 1
-        else:
-            it[active] += 1
-            self._restart_iterations[active] += 1
-
+        it = self.rounds + 1
         vp = self.vp
-        vp.begin_round(self.configs)
-        errors = vp.errors()
-        it_m = self._it_m
-        np.copyto(it_m, it, casting="unsafe")
-        eligible = np.less(marks, it_m[:, None], out=self._eligible)
-        has_eligible = eligible.any(axis=1)
-        if all_live and has_eligible.all():
-            work = self._all_lanes
-        else:
-            for lane in np.flatnonzero(active & ~has_eligible):
-                # the scalar loop's `continue`: reset, no best-tracking
-                self._partial_reset(int(lane))
-            work = np.flatnonzero(active & has_eligible)
-            if work.size == 0:
-                return
+        configs, marks, cost, stats = (
+            self._configs, self._marks, self._cost, self._stats
+        )
+        bounds, integers = self._bounds, self._integers
+        base = bounds[:-1]
 
-        i_rows = masked_argmax_lanes(errors, eligible, work, rngs, scratch=True)
-        i_sel = self._i_sel
-        i_sel[work] = i_rows
+        # worst variable that is not frozen, then its best swap (never with
+        # itself).  A lane with every variable frozen has no candidate: it
+        # rides along on variable 0, selects no swap, and ends the round in
+        # a partial reset — the scalar loop's `continue`.
+        vp.begin_round(configs)
+        eligible = np.less(marks, it, out=self._eligible)
+        flat_i, frozen = masked_argmax_lanes(
+            vp.errors(), eligible, bounds, integers
+        )
+        i_sel = flat_i - base
         deltas = vp.deltas(i_sel)
-        deltas[work, i_rows] = self._sentinel
-        j_rows = argmin_lanes(deltas, work, rngs)
-        delta_rows = deltas[work, j_rows]
+        deltas.reshape(-1)[flat_i] = self._sentinel
+        flat_j, delta = argmin_lanes(deltas, bounds, integers, frozen)
 
-        if cfg.plateau_is_local_min:
-            improving = delta_rows < 0
-        else:
-            improving = delta_rows <= 0
+        moved = delta < 0 if cfg.plateau_is_local_min else delta <= 0
+        local_min = ~moved
+        if frozen:
+            moved[frozen] = False
+            local_min[frozen] = False
+        flat_marks = marks.reshape(-1)
+        freeze_swap = cfg.freeze_swap
+        if freeze_swap > 0:
+            flat_marks[flat_i[moved]] = it + freeze_swap
 
-        # improving lanes: vectorized bookkeeping
-        imp_lanes = work[improving]
-        imp_i = i_rows[improving]
-        imp_j = j_rows[improving]
-        imp_delta = delta_rows[improving]
-        self.stats["swaps"][imp_lanes] += 1
-        plateau = imp_lanes[imp_delta == 0]
-        self.stats["plateau_moves"][plateau] += 1
-        if cfg.freeze_swap > 0:
-            until = it[imp_lanes] + cfg.freeze_swap
-            marks[imp_lanes, imp_i] = until
-            marks[imp_lanes, imp_j] = until
-
-        # local-minimum lanes: the marks scatter, stats, and frozen counts
-        # batch across lanes; only the acceptance draw itself runs per lane
-        # (RNG order matters within a lane; lanes are independent streams).
-        # The frozen count per rejected lane is computable up front because
-        # every write between the scalar freeze and the scalar count is
-        # row-local to the lane being processed.
-        acc_lanes: list[int] = []
-        acc_i: list[int] = []
-        acc_j: list[int] = []
-        acc_delta: list[float] = []
-        stats = self.stats
-        lm_rows = np.flatnonzero(~improving)
-        if lm_rows.size:
-            lm_lanes = work[lm_rows]
-            lm_i = i_rows[lm_rows]
-            lm_j = j_rows[lm_rows]
-            lm_d = delta_rows[lm_rows]
-            lm_it = it[lm_lanes]
-            stats["local_minima"][lm_lanes] += 1
-            stats["frozen_variables"][lm_lanes] += 1
-            marks[lm_lanes, lm_i] = lm_it + cfg.freeze_loc_min
-            frozen_cnt = (
-                marks[lm_lanes] > lm_it.astype(self._mdt)[:, None]
-            ).sum(axis=1)
-            finite = np.isfinite(lm_d)
+        # local minima: the freeze and its counters batch across lanes;
+        # only the acceptance draw runs per lane (RNG order matters within
+        # a lane; lanes are independent streams).  ``moved`` grows by the
+        # accepted moves; a rejected lane with too many frozen variables
+        # resets — its frozen count is row-local, so one pass serves all.
+        resets = frozen
+        lm_rows = local_min.nonzero()[0].tolist()
+        if lm_rows:
+            counters = stats[_LOCAL_MIN : _FROZEN + 1]
+            counters += local_min
+            flat_marks[flat_i[local_min]] = it + cfg.freeze_loc_min
             prob = cfg.prob_select_loc_min
-            reset_limit = cfg.reset_limit
-            freeze_swap = cfg.freeze_swap
-            for row in range(lm_rows.size):
-                lane = int(lm_lanes[row])
-                if finite[row] and rngs[lane].random() < prob:
-                    if freeze_swap > 0:
-                        marks[lane, int(lm_j[row])] = int(lm_it[row]) + freeze_swap
-                    acc_lanes.append(lane)
-                    acc_i.append(int(lm_i[row]))
-                    acc_j.append(int(lm_j[row]))
-                    acc_delta.append(float(lm_d[row]))
-                elif frozen_cnt[row] > reset_limit:
-                    self._partial_reset(lane)
-            if acc_lanes:
-                acc_arr = np.asarray(acc_lanes, dtype=np.int64)
-                stats["swaps"][acc_arr] += 1
-                stats["accepted_local_min_moves"][acc_arr] += 1
-                acc_d_arr = np.asarray(acc_delta, dtype=np.float64)
-                stats["plateau_moves"][acc_arr[acc_d_arr == 0]] += 1
+            randoms = self._randoms
+            inf = math.inf
+            delta_of = delta.tolist()
+            accepted = []
+            rejected = []
+            for row in lm_rows:
+                if delta_of[row] < inf and randoms[row]() < prob:
+                    accepted.append(row)
+                else:
+                    rejected.append(row)
+            if accepted:
+                moved[accepted] = True
+                stats[_ACCEPTED, accepted] += 1
+            if rejected:
+                n_frozen = (marks > it).sum(axis=1).tolist()
+                reset_limit = cfg.reset_limit
+                resets = resets + [
+                    row for row in rejected if n_frozen[row] > reset_limit
+                ]
 
-        # apply all executed swaps (improving + accepted local-min moves)
-        if acc_lanes:
-            lanes_arr = np.concatenate(
-                [imp_lanes, np.asarray(acc_lanes, dtype=np.int64)]
-            )
-            ii = np.concatenate([imp_i, np.asarray(acc_i, dtype=np.int64)])
-            jj = np.concatenate([imp_j, np.asarray(acc_j, dtype=np.int64)])
-            dd = np.concatenate(
-                [imp_delta.astype(np.float64), np.asarray(acc_delta, dtype=np.float64)]
-            )
-        else:
-            lanes_arr, ii, jj, dd = imp_lanes, imp_i, imp_j, imp_delta
-        if lanes_arr.size:
-            configs = self.configs
-            vals_i = configs[lanes_arr, ii].copy()
-            configs[lanes_arr, ii] = configs[lanes_arr, jj]
-            configs[lanes_arr, jj] = vals_i
-            self.cost[lanes_arr] += dd
-            vp.notify_swaps(lanes_arr, ii, jj, configs)
-
-        # track best for every lane that iterated (including rejected
-        # local-minimum lanes whose reset fell through, as in the scalar loop)
-        better = self._better
-        if work.size == self.k:
-            np.less(self.cost, self.best_cost, out=better)
-        else:
-            better[:] = False
-            better[work] = True
-            better &= self.cost < self.best_cost
-        rows = np.flatnonzero(better)
+        # apply every executed swap (improving + accepted local-minimum)
+        rows = moved.nonzero()[0]
         if rows.size:
-            self.best_cost[rows] = self.cost[rows]
-            self.best_configs[rows] = self.configs[rows]
+            swaps = stats[_SWAPS]
+            swaps += moved
+            plateau = stats[_PLATEAU]
+            plateau += moved & (delta == 0)
+            at_i = flat_i[rows]
+            at_j = flat_j[rows]
+            if freeze_swap > 0:
+                flat_marks[at_j] = it + freeze_swap
+            flat_configs = configs.reshape(-1)
+            values_i = flat_configs[at_i]
+            flat_configs[at_i] = flat_configs[at_j]
+            flat_configs[at_j] = values_i
+            cost[rows] += delta[rows]
+            vp.notify_swaps(
+                rows, i_sel[rows], at_j - base[rows], at_i, at_j, configs
+            )
 
-    # ------------------------------------------------------------------
-    def _package(self) -> VectorRunOutcome:
-        walks: list[SolveResult] = []
-        for lane in range(self.k):
-            reason = self._reasons[lane] or TerminationReason.CANCELLED
-            stats = SolveStats(
-                iterations=int(self.iterations[lane]),
-                swaps=int(self.stats["swaps"][lane]),
-                local_minima=int(self.stats["local_minima"][lane]),
-                plateau_moves=int(self.stats["plateau_moves"][lane]),
-                accepted_local_min_moves=int(
-                    self.stats["accepted_local_min_moves"][lane]
-                ),
-                frozen_variables=int(self.stats["frozen_variables"][lane]),
-                resets=int(self.stats["resets"][lane]),
-                restarts=int(self.stats["restarts"][lane]),
-                wall_time=float(self._finish_time[lane]),
-            )
-            walks.append(
-                SolveResult(
-                    solved=reason is TerminationReason.SOLVED,
-                    config=self.best_configs[lane].copy(),
-                    cost=float(self.best_cost[lane]),
-                    reason=reason,
-                    stats=stats,
-                    problem_name=self.problem.name,
-                    solver_name=self.solver_name,
-                )
-            )
-        return VectorRunOutcome(walks=walks, elapsed=self._stopwatch.elapsed)
+        for row in resets:
+            self._partial_reset(row)
+
+        # track best for every lane that selected (including rejected
+        # local-minimum lanes whose reset fell through, as in the scalar loop)
+        better = np.less(cost, self._best_cost, out=self._better)
+        if frozen:
+            better[frozen] = False
+        rows = better.nonzero()[0]
+        if rows.size:
+            self._best_cost[rows] = cost[rows]
+            self._best_configs[rows] = configs[rows]
 
 
 def solve_vector(

@@ -9,20 +9,28 @@ returned errors and swap deltas are bit-identical to the scalar
 which is what makes the vector engine's trajectories reproducible against
 the scalar engine (see ``tests/vector``).
 
-Design rule (why there is no incremental state here): scalar walks maintain
-per-walk caches because one swap invalidates O(1) of them.  Across ``k``
-lanes the bookkeeping for incremental updates (different swaps per lane,
-partial resets, restarts) costs more in Python than rebuilding the derived
-tables from the configuration matrix with two or three full-width NumPy
-passes — so ``begin_round`` rebuilds everything, once per lock-step round.
+Design rule (what is kept between rounds): an adapter may carry derived
+state across rounds only where one swap changes O(1) of it and the update
+batches across lanes.  ``VectorMagicSquare`` does — a narrow copy of the
+configuration matrix and the ``2n + 2`` line sums per lane follow every swap
+through ``notify_swaps`` (four scatter statements whatever the width), and a
+reset or restarted lane is re-summed alone through ``notify_rows``.  The
+count-table families (``costas`` / ``all_interval``) do not: a swap moves up
+to ``2(n - 1)`` differences between buckets, and rebuilding their tables
+from the configuration matrix is two or three full-width NumPy passes — so
+their ``begin_round`` rebuilds everything, once per lock-step round.  No
+adapter outlives a change of width: when a lane retires the engine builds a
+fresh adapter for the lanes that remain.
 
 Batched swap-delta kernels
 --------------------------
 ``magic_square``
-    the scalar all-``j`` delta formula lifted to ``(k, n)`` with per-lane
-    gathers of the selected variable's row/column/diagonal sums (int32
-    arithmetic; all quantities are small integers, so float64 results are
-    exact).
+    the four line families (rows, columns, diagonal, anti-diagonal) stacked
+    on one axis: a ``(4, k, A)`` block holds, per family, the sum of the
+    line through every cell, so the per-cell error is one reduction over
+    the family axis and the all-``j`` delta vector is one ``|s_j - dv|``,
+    one ``|s_i + dv|``, one same-line mask and one reduction over the block
+    (narrow integer arithmetic; all quantities are small integers).
 ``costas`` / ``all_interval``
     both costs are count-table costs ``sum_b max(c_b - 1, 0)`` over buckets
     holding ``N`` items, which equals ``N - distinct``.  Distinct values fit
@@ -38,7 +46,8 @@ Batched swap-delta kernels
 
 from __future__ import annotations
 
-from typing import Callable, Type
+from functools import lru_cache
+from typing import Callable, Optional, Type
 
 import numpy as np
 
@@ -65,18 +74,24 @@ class VectorProblem:
     Call order per round: ``begin_round(configs)`` once, then ``errors()``
     and ``deltas(i_sel)`` against the tables built from that snapshot.  The
     engine mutates ``configs`` only *after* ``deltas`` (swaps / resets), so
-    staleness is never observable.
+    staleness is never observable.  Every row of ``configs`` is a live
+    lane; an adapter lives for one batch width (the engine builds a new one,
+    ``type(adapter)(problem, m)``, when lanes retire).
 
     ``errors`` and ``deltas`` may return any numeric dtype (values must be
-    exact) and may reuse an internal buffer — the engine consumes both
-    before the next ``begin_round``.  ``delta_sentinel`` is the "never pick
-    this" value the engine writes over the selected variable's own column
-    before the batched argmin: ``inf`` for float kernels, the dtype maximum
-    for integer kernels (whose real deltas are orders of magnitude smaller).
+    exact), C-contiguous, and may reuse an internal buffer — the engine
+    overwrites entries of both and consumes them before the next
+    ``begin_round``.  ``delta_sentinel`` is the "never pick this" value the
+    engine writes over the selected variable's own column before the
+    batched argmin: ``inf`` for float kernels, the dtype maximum for
+    integer kernels (whose real deltas are orders of magnitude smaller).
     """
 
     #: True for real batched kernels, False for the per-lane fallback
     batched = True
+
+    #: largest ``problem.size`` the kernels handle (``None``: any)
+    MAX_N: Optional[int] = None
 
     #: written over column ``i_sel`` before the argmin; see class docstring
     delta_sentinel: float = np.inf
@@ -84,16 +99,24 @@ class VectorProblem:
     def __init__(self, problem: Problem, k: int) -> None:
         if k < 1:
             raise ValueError(f"lane count must be >= 1, got {k}")
+        if not self.fits(problem):
+            raise ValueError(f"kernels support n <= {self.MAX_N}")
         self.problem = problem
         self.k = int(k)
         self.n = problem.size
 
+    @classmethod
+    def fits(cls, problem: Problem) -> bool:
+        """Whether the kernels handle ``problem`` — answered from the class,
+        without building an adapter."""
+        return cls.MAX_N is None or problem.size <= cls.MAX_N
+
     def begin_round(self, configs: np.ndarray) -> None:
-        """Rebuild derived tables from the ``(k, n)`` configuration matrix."""
+        """Bring derived tables up to the ``(k, n)`` configuration matrix."""
         raise NotImplementedError
 
     def errors(self) -> np.ndarray:
-        """Per-variable error projection, ``(k, n)`` float64."""
+        """Per-variable error projection, ``(k, n)``."""
         raise NotImplementedError
 
     def deltas(self, i_sel: np.ndarray) -> np.ndarray:
@@ -110,9 +133,17 @@ class VectorProblem:
     # from-scratch rebuild.
 
     def notify_swaps(
-        self, lanes: np.ndarray, ii: np.ndarray, jj: np.ndarray, configs: np.ndarray
+        self,
+        lanes: np.ndarray,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        flat_i: np.ndarray,
+        flat_j: np.ndarray,
+        configs: np.ndarray,
     ) -> None:
-        """Lanes ``lanes`` swapped cells ``ii``/``jj`` (already applied)."""
+        """Lanes ``lanes`` (each at most once) swapped cells ``ii``/``jj``
+        (already applied); ``flat_i`` / ``flat_j`` are the same cells as
+        ``lane * n + cell`` indices into ``configs.reshape(-1)``."""
 
     def notify_rows(self, lanes: "list[int]", configs: np.ndarray) -> None:
         """Whole rows rewritten (partial reset / restart)."""
@@ -129,16 +160,64 @@ class VectorProblem:
 # ----------------------------------------------------------------------
 # magic square
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=8)
+def _magic_square_tables(n: int) -> tuple:
+    """Dtype, sentinel and cell tables of an order-``n`` square: a pure
+    function of the order, built for the first adapter of that order and
+    shared read-only by every later one (each retirement builds one)."""
+    A = n * n
+    m = n * (A + 1) // 2
+    # worst line sum = the n largest values in one line; a line term
+    # |s -+ dv| stays within err + A
+    worst_term = n * (2 * A - n + 1) // 2 - m + A
+    cdt = np.int16 if 2 * worst_term < np.iinfo(np.int16).max else np.int32
+    rows, cols = np.divmod(np.arange(A), n)
+    on_diag, on_anti = rows == cols, rows + cols == n - 1
+    always = np.ones(A, dtype=bool)
+    # per family: does a line run through the cell, and which one
+    member = np.stack([always, always, on_diag, on_anti]).astype(cdt)
+    line = np.stack([rows, cols, on_diag - 1, on_anti - 1]).astype(cdt)
+    # the same two tables by cell, gathered together for the selected i
+    by_cell = np.ascontiguousarray(np.concatenate([member, line]).T)
+    # slots of a cell's four lines in a lane's line-sum vector
+    # [n rows | n columns | diagonal | anti-diagonal | 2 unused]: a cell
+    # off a diagonal points at an unused slot, never read
+    slots = np.stack(
+        [
+            rows,
+            n + cols,
+            np.where(on_diag, 2 * n, 2 * n + 2),
+            np.where(on_anti, 2 * n + 1, 2 * n + 3),
+        ],
+        axis=1,
+    )                                                           # (A, 4)
+    tables = (member[:, None, :], line[:, None, :], by_cell, slots)
+    for table in tables:
+        table.flags.writeable = False
+    return (cdt, int(np.iinfo(cdt).max), *tables)
+
+
 class VectorMagicSquare(VectorProblem):
     """Batched magic-square kernels (order ``n``, ``A = n*n`` variables).
 
-    All arithmetic runs in the narrowest exact integer dtype: per-family
-    delta terms are bounded by twice the worst line error, which fits int16
-    through order 31 (int32 beyond), and the four family terms accumulate
-    into an int32 buffer — a 4x memory-traffic reduction versus float64
-    that the delta kernel, being bandwidth-bound at ``(k, A)`` width, turns
-    directly into throughput.  Line sums are stored ``- m`` (the magic
-    constant) so every error term is a plain ``abs``.
+    The four line families — rows, columns, diagonal, anti-diagonal — are
+    stacked on the leading axis of one ``(4, k, A)`` block: entry
+    ``[f, l, c]`` is the sum (less the magic constant ``m``, so an error is
+    a plain ``abs``) of lane ``l``'s family-``f`` line through cell ``c``,
+    and 0 where no such line exists (a cell off the diagonal).  The block
+    is refilled each round from the ``2n + 2`` line sums per lane, which
+    follow the swaps incrementally.  Swapping ``i`` and ``j`` moves
+    ``dv = v_j - v_i`` into ``i``'s lines and out of ``j``'s, so per family
+    the delta is ``|s_j - dv| - |s_j| + |s_i + dv| - |s_i|``, a term
+    dropping out where its line does not exist and both where ``i`` and
+    ``j`` share the line.
+
+    All arithmetic runs in the narrowest exact integer dtype: a line term
+    is bounded by the worst line error plus ``A``, which fits int16 through
+    order 31 (int32 beyond), and a delta by ``8 (A - 1)`` — each of the at
+    most eight affected lines moves by ``|dv| < A``.  The kernels are
+    bandwidth-bound at block width, so the narrow dtype turns directly
+    into throughput.
     """
 
     def __init__(self, problem: MagicSquareProblem, k: int) -> None:
@@ -146,205 +225,111 @@ class VectorMagicSquare(VectorProblem):
         n = self.order = problem.order
         A = self.n
         self.m = problem.magic_constant
-        self._rows = problem._rows  # (A,) cell -> row index
-        self._cols = problem._cols
-        self._on_diag = problem._on_diag
-        self._on_anti = problem._on_anti
-        self._ar = np.arange(k)
-        # worst line sum = the n largest values in one line; a combined
-        # row term |s_i'| - e_i + |s_j'| - e_j stays within 2*(err + A)
-        bound = int(np.arange(A - n + 1, A + 1).sum())
-        worst_term = (bound - self.m) + A
-        self._cdt = np.int16 if 2 * worst_term < np.iinfo(np.int16).max else np.int32
-        self.delta_sentinel = int(np.iinfo(np.int32).max)
-        self._diag_cells = np.flatnonzero(problem._on_diag)
-        self._anti_cells = np.flatnonzero(problem._on_anti)
-        self._on_diag_c = problem._on_diag.astype(self._cdt)
-        self._on_anti_c = problem._on_anti.astype(self._cdt)
-        self._cfg = np.empty((k, A), dtype=self._cdt)
-        self._dv = np.empty((k, A), dtype=self._cdt)
-        self._t = np.empty((k, A), dtype=self._cdt)
-        self._t2 = np.empty((k, A), dtype=self._cdt)
-        self._t3 = np.empty((k, A), dtype=self._cdt)
-        self._acc = np.empty((k, A), dtype=np.int32)
-        # a cell error sums four non-negative line terms, so uint16 holds
-        # it whenever the combined bound fits — half the argmax traffic
-        edt = np.uint16 if 4 * worst_term < np.iinfo(np.uint16).max else np.int32
+        (
+            cdt, self.delta_sentinel,
+            self._member, self._line, self._by_cell, self._slots,
+        ) = _magic_square_tables(n)
+        self._cdt = cdt
+        self._lines = np.zeros((k, 2 * n + 4), dtype=cdt)
+        self._base = np.arange(0, k * A, A)
+        # [0] the line-sum-at-cell block, [1] its abs; the four views are
+        # the cells each family's sums are broadcast into every round
+        self._sums = np.zeros((2, 4, k, A), dtype=cdt)
+        block = self._sums[0]
+        self._fill = (
+            (block[0].reshape(k, n, n), np.s_[:, :n, None]),
+            (block[1].reshape(k, n, n), np.s_[:, None, n : 2 * n]),
+            (block[2, :, :: n + 1], np.s_[:, 2 * n, None]),
+            (block[3, :, n - 1 : A - 1 : n - 1], np.s_[:, 2 * n + 1, None]),
+        )
+        self._t, self._u = np.empty((2, 4, k, A), dtype=cdt)
+        self._cfg, self._dv, self._acc = np.empty((3, k, A), dtype=cdt)
+        self._apart = np.empty((4, k, A), dtype=bool)
+        # a cell error sums four non-negative line terms: the unsigned
+        # dtype of the same width holds it (4 * worst_term < 2**16 whenever
+        # the terms fit int16), and the abs block is reinterpreted — a free
+        # view, same bits — rather than cast
+        edt = np.uint16 if cdt is np.int16 else np.uint32
+        self._abs_unsigned = self._sums[1].view(edt)
         self._err = np.empty((k, A), dtype=edt)
-        self._diag_ix = np.arange(n)
-        self._synced = False
-        self._dirty: list[int] = []
+        #: lanes whose line sums must be rebuilt from the configuration
+        self._dirty: list[int] = list(range(k))
 
-    def _rebuild_lane(self, lane: int, configs: np.ndarray) -> None:
-        n, cdt, m = self.order, self._cdt, self.m
-        self._cfg[lane] = configs[lane]
-        g = self._cfg[lane].reshape(n, n)
-        ix = self._diag_ix
-        self._rs[lane] = g.sum(axis=1, dtype=cdt)
-        self._rs[lane] -= cdt(m)
-        self._cs[lane] = g.sum(axis=0, dtype=cdt)
-        self._cs[lane] -= cdt(m)
-        self._dg[lane] = g[ix, ix].sum(dtype=cdt) - cdt(m)
-        self._at[lane] = g[ix, n - 1 - ix].sum(dtype=cdt) - cdt(m)
+    def _resum(self, lanes: "list[int]", configs: np.ndarray) -> None:
+        """Line sums of ``lanes`` from scratch."""
+        n, A = self.order, self.n
+        cfg = configs[lanes].astype(self._cdt)
+        self._cfg[lanes] = cfg
+        grid = cfg.reshape(-1, n, n)
+        sums = self._lines[lanes]
+        sums[:, :n] = grid.sum(axis=2)
+        sums[:, n : 2 * n] = grid.sum(axis=1)
+        sums[:, 2 * n] = cfg[:, :: n + 1].sum(axis=1)
+        sums[:, 2 * n + 1] = cfg[:, n - 1 : A - 1 : n - 1].sum(axis=1)
+        sums[:, : 2 * n + 2] -= self.m
+        self._lines[lanes] = sums
 
     def notify_swaps(
-        self, lanes: np.ndarray, ii: np.ndarray, jj: np.ndarray, configs: np.ndarray
+        self,
+        lanes: np.ndarray,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        flat_i: np.ndarray,
+        flat_j: np.ndarray,
+        configs: np.ndarray,
     ) -> None:
-        if not self._synced or lanes.size == 0:
-            return
-        new_i = configs[lanes, ii]
-        new_j = configs[lanes, jj]
-        self._cfg[lanes, ii] = new_i
-        self._cfg[lanes, jj] = new_j
-        d = (new_i - new_j).astype(self._cdt)  # value change at cell ii
-        rows, cols = self._rows, self._cols
-        # lanes are unique, so each (lane, line) slot appears once per
-        # statement; same-line swaps cancel across the two statements
-        self._rs[lanes, rows[ii]] += d
-        self._rs[lanes, rows[jj]] -= d
-        self._cs[lanes, cols[ii]] += d
-        self._cs[lanes, cols[jj]] -= d
-        self._dg[lanes] += d * (self._on_diag_c[ii] - self._on_diag_c[jj])
-        self._at[lanes] += d * (self._on_anti_c[ii] - self._on_anti_c[jj])
+        flat_configs = configs.reshape(-1)
+        new_i = flat_configs[flat_i]
+        new_j = flat_configs[flat_j]
+        cfg = self._cfg.reshape(-1)
+        cfg[flat_i] = new_i
+        cfg[flat_j] = new_j
+        gain = (new_i - new_j).astype(self._cdt)[:, None]   # change at ii
+        lines = self._lines.reshape(-1)
+        slots, at = self._slots, (lanes * self._lines.shape[1])[:, None]
+        # a lane's four slots are distinct within a statement; a line the
+        # two cells share cancels across the two
+        lines[at + slots[ii]] += gain
+        lines[at + slots[jj]] -= gain
 
     def notify_rows(self, lanes: "list[int]", configs: np.ndarray) -> None:
-        if self._synced:
-            self._dirty.extend(lanes)
+        self._dirty.extend(lanes)
 
     def begin_round(self, configs: np.ndarray) -> None:
-        k, n = self.k, self.order
-        cdt, m = self._cdt, self.m
-        if self._synced:
-            for lane in self._dirty:
-                self._rebuild_lane(lane, configs)
-            self._dirty.clear()
-        else:
-            np.copyto(self._cfg, configs, casting="unsafe")
-            grid = self._cfg.reshape(k, n, n)
-            # line sums relative to the magic constant
-            self._rs = grid.sum(axis=2, dtype=cdt)
-            self._rs -= cdt(m)
-            self._cs = grid.sum(axis=1, dtype=cdt)
-            self._cs -= cdt(m)
-            ix = self._diag_ix
-            self._dg = grid[:, ix, ix].sum(axis=1, dtype=cdt)
-            self._dg -= cdt(m)
-            self._at = grid[:, ix, n - 1 - ix].sum(axis=1, dtype=cdt)
-            self._at -= cdt(m)
-            self._synced = True
-        self._re = np.abs(self._rs)
-        self._ce = np.abs(self._cs)
-        self._de = np.abs(self._dg)
-        self._ae = np.abs(self._at)
+        if self._dirty:
+            self._resum(self._dirty, configs)
+            self._dirty = []
+        lines = self._lines
+        for cells, of_line in self._fill:
+            cells[...] = lines[of_line]
+        np.abs(self._sums[0], out=self._sums[1])
 
     def errors(self) -> np.ndarray:
-        # cell c has row c // n and column c % n, so the per-cell error is
-        # one broadcast add over the (k, n, n) view — no gather, no copy.
-        # The abs'd line terms are non-negative, so when the error buffer
-        # is uint16 the int16 terms are reinterpreted (a free view, same
-        # bits) rather than cast.
-        k, n = self.k, self.order
-        e = self._err
-        re, ce, de, ae = self._re, self._ce, self._de, self._ae
-        if e.dtype == np.uint16:
-            re, ce = re.view(np.uint16), ce.view(np.uint16)
-            de, ae = de.view(np.uint16), ae.view(np.uint16)
-        np.add(re[:, :, None], ce[:, None, :], out=e.reshape(k, n, n))
-        e[:, self._diag_cells] += de[:, None]
-        e[:, self._anti_cells] += ae[:, None]
-        return e
+        return np.add.reduce(self._abs_unsigned, axis=0, out=self._err)
 
     def deltas(self, i_sel: np.ndarray) -> np.ndarray:
-        ar = self._ar
+        k = self.k
         cfg = self._cfg
-        n = self.order
-        rows, cols = self._rows, self._cols
-        rs, cs, re, ce = self._rs, self._cs, self._re, self._ce
-        dv, t, t2, t3, acc = self._dv, self._t, self._t2, self._t3, self._acc
-        lane_col = ar[:, None]
-        span = np.arange(n)[None, :]
-
-        vi = cfg[ar, i_sel][:, None]                     # (k, 1)
-        np.subtract(cfg, vi, out=dv)                     # (k, A)
-        ri = rows[i_sel]                                 # (k,)
-        ci = cols[i_sel]
-
-        # rows: |s_i + dv| - e_i + |s_j - dv| - e_j, zero within i's own
-        # row.  Cell c sits in row c // n, so the per-cell row-sum "gather"
-        # is a broadcast over the (k, n, n) view (no materialized copy),
-        # and i's own row is the contiguous cell block ri*n .. ri*n + n.
-        kk = self.k
-        dv3 = dv.reshape(kk, n, n)
-        t23 = t2.reshape(kk, n, n)
-        t33 = t3.reshape(kk, n, n)
-        np.add(dv, rs[ar, ri][:, None], out=t)
+        flat = self._base + i_sel
+        dv = np.subtract(cfg, cfg.reshape(-1)[flat][:, None], out=self._dv)
+        member_i, line_i = self._by_cell[i_sel].T.reshape(2, 4, k, 1)
+        sums_i, errs_i = self._sums.reshape(8, -1)[:, flat].reshape(2, 4, k, 1)
+        sums, errs = self._sums
+        t, u = self._t, self._u
+        # j's lines lose dv ...
+        np.multiply(dv, self._member, out=t)
+        np.subtract(sums, t, out=t)
         np.abs(t, out=t)
-        t -= re[ar, ri][:, None]
-        np.subtract(rs[:, :, None], dv3, out=t23)
-        np.abs(t2, out=t2)
-        t23 -= re[:, :, None]
-        t += t2
-        t[lane_col, ri[:, None] * n + span] = 0
-
-        # columns, same shape (broadcast over the last axis); the result
-        # lands in t2 so both families combine in a single upcasting add
-        np.add(dv, cs[ar, ci][:, None], out=t2)
-        np.abs(t2, out=t2)
-        t2 -= ce[ar, ci][:, None]
-        np.subtract(cs[:, None, :], dv3, out=t33)
-        np.abs(t3, out=t3)
-        t33 -= ce[:, None, :]
-        t2 += t3
-        t2[lane_col, ci[:, None] + span * n] = 0
-        np.add(t, t2, out=acc)
-
-        # diagonals: coefficient ([i on diag] - [j on diag]) covers the
-        # i-only / j-only / both / neither cases.  When i is off the
-        # diagonal (the overwhelmingly common case) the coefficient is
-        # nonzero only on the n diagonal cells, so the term is an (m, n)
-        # scatter-add instead of a full (k, A) pass; the few lanes whose
-        # selected variable sits on the diagonal take the full-width path.
-        self._diag_family(
-            i_sel, dv, acc, self._on_diag, self._on_diag_c, self._diag_cells,
-            self._dg, self._de,
-        )
-        self._diag_family(
-            i_sel, dv, acc, self._on_anti, self._on_anti_c, self._anti_cells,
-            self._at, self._ae,
-        )
-
-        acc[ar, i_sel] = 0
-        return acc
-
-    def _diag_family(
-        self,
-        i_sel: np.ndarray,
-        dv: np.ndarray,
-        acc: np.ndarray,
-        on_line: np.ndarray,
-        on_line_c: np.ndarray,
-        line_cells: np.ndarray,
-        line_sum: np.ndarray,
-        line_err: np.ndarray,
-    ) -> None:
-        i_on = on_line[i_sel]
-        if not i_on.all():
-            off = np.flatnonzero(~i_on)
-            if off.size == self.k:
-                sub_dv = dv[:, line_cells]
-                acc[:, line_cells] += np.abs(
-                    line_sum[:, None] - sub_dv
-                ) - line_err[:, None]
-            else:
-                sub_dv = dv[off[:, None], line_cells[None, :]]
-                acc[off[:, None], line_cells[None, :]] += np.abs(
-                    line_sum[off, None] - sub_dv
-                ) - line_err[off, None]
-        if i_on.any():
-            on = np.flatnonzero(i_on)
-            coef = self._cdt(1) - on_line_c
-            term = np.abs(line_sum[on, None] + coef * dv[on]) - line_err[on, None]
-            acc[on] += term
+        t -= errs
+        # ... and i's gain it
+        np.multiply(dv, member_i, out=u)
+        u += sums_i
+        np.abs(u, out=u)
+        u -= errs_i
+        t += u
+        # a line through both cells keeps its sum
+        t *= np.not_equal(self._line, line_i, out=self._apart)
+        return np.add.reduce(t, axis=0, out=self._acc)
 
     def lane_costs(self, configs: np.ndarray) -> np.ndarray:
         k, n = len(configs), self.order
@@ -379,39 +364,47 @@ class VectorCostas(VectorProblem):
     def __init__(self, problem: CostasProblem, k: int) -> None:
         super().__init__(problem, k)
         n = self.n
-        if n > self.MAX_N:
-            raise ValueError(f"bitmask kernel supports n <= {self.MAX_N}")
+        self.delta_sentinel = int(np.iinfo(np.int32).max)
         self.off = n - 1
         self.W = 2 * n - 1
         nd = na = n - 1
         self.nd, self.na = nd, na
-        self.P = n * (n - 1) // 2
+        P = self.P = n * (n - 1) // 2
         # pair tables (shared with the scalar problem's reference kernels)
         self._pa = problem._pair_a
         self._pb = problem._pair_b
         self._pd = problem._pair_d
         # incidence matrix: errors = dup_pairs @ inc
-        inc = np.zeros((self.P, n), dtype=np.float64)
-        inc[np.arange(self.P), self._pa] += 1.0
-        inc[np.arange(self.P), self._pb] += 1.0
+        inc = np.zeros((P, n), dtype=np.float64)
+        inc[np.arange(P), self._pa] += 1.0
+        inc[np.arange(P), self._pb] += 1.0
         self._inc = inc
+        self._dup = np.empty((k, P), dtype=np.float64)
+        self._err = np.empty((k, n), dtype=np.float64)
+        # count-table slot of pair p's difference, less the difference
+        self._base = np.arange(k) * n
+        lane_col = np.arange(k)[:, None]
+        self._key_base = (lane_col * nd + (self._pd - 1)) * self.W + self.off
         # rectangular (a, d) pair layout, a = left endpoint, d = distance;
         # transposed so the OR-reduction runs over the *leading* axis, where
         # NumPy reduces with contiguous full-width passes
         a_ix = np.arange(na)
         d_ix = np.arange(1, n)
         validT = (a_ix[:, None] + d_ix[None, :]) < n        # (na, nd)
-        self._validT = validT
-        self._iaT = np.where(validT, a_ix[:, None], 0)
-        self._ibT = np.where(validT, a_ix[:, None] + d_ix[None, :], 0)
-        self.SENT = self.W  # padding sentinel bit; cancels in the delta
+        iaT = np.where(validT, a_ix[:, None], 0)
+        ibT = np.where(validT, a_ix[:, None] + d_ix[None, :], 0)
+        # each lane's shifted differences, plus one padding column holding
+        # the sentinel bit (it inflates every lane and candidate equally and
+        # cancels in the delta); _pair_of maps the rectangle onto it
+        self._shifted = np.full((k, P + 1), self.W, dtype=np.int16)
+        self._pair_of = np.full((na, nd), P)
+        self._pair_of[self._pa, self._pd - 1] = np.arange(P)
         # indicator table: T4[pos, a, d] = [b == pos] - [a == pos]
         T4 = np.zeros((n, na, nd), dtype=np.int16)
         for pos in range(n):
             T4[pos] = np.where(
                 validT,
-                (self._ibT == pos).astype(np.int16)
-                - (self._iaT == pos).astype(np.int16),
+                (ibT == pos).astype(np.int16) - (iaT == pos).astype(np.int16),
                 0,
             )
         self._T4 = T4
@@ -420,54 +413,43 @@ class VectorCostas(VectorProblem):
         self._mask_dtype = np.uint32 if self.W < 32 else np.uint64
         self._D = np.empty((na, nd, k, n), dtype=np.int16)
         self._new = np.empty((na, nd, k, n), dtype=np.int16)
-        self._newu = np.empty((na, nd, k, n), dtype=self._mask_dtype)
         self._mask = np.empty((na, nd, k, n), dtype=self._mask_dtype)
         self._one = self._mask_dtype(1)
-        self._lane_col = np.arange(k)[:, None]
 
     def begin_round(self, configs: np.ndarray) -> None:
-        k, n, off, W = self.k, self.n, self.off, self.W
         self._V = configs
-        diffs = configs[:, self._pb] - configs[:, self._pa] + off   # (k, P)
-        self._diffs = diffs
-        keys = (self._lane_col * self.nd + (self._pd[None, :] - 1)) * W + diffs
+        diffs = configs[:, self._pb] - configs[:, self._pa]         # (k, P)
+        self._keys = self._key_base + diffs
         self._counts = np.bincount(
-            keys.ravel(), minlength=k * self.nd * W
-        ).reshape(k, self.nd, W)
-        oldk = configs[:, self._ibT] - configs[:, self._iaT] + off  # (k, na, nd)
-        oldk = np.where(self._validT[None], oldk, self.SENT)
-        self._oldT = np.ascontiguousarray(
-            oldk.transpose(1, 2, 0)
-        ).astype(np.int16)                                          # (na, nd, k)
+            self._keys.ravel(), minlength=self.k * self.nd * self.W
+        )
+        shifted = self._shifted
+        np.add(diffs, self.off, out=shifted[:, :-1])
+        self._oldT = shifted.T[self._pair_of][:, :, :, None]        # (na, nd, k, 1)
 
     def errors(self) -> np.ndarray:
-        c = self._counts[self._lane_col, self._pd[None, :] - 1, self._diffs]
-        dup = (c > 1).astype(np.float64)
-        return dup @ self._inc
+        dup = np.greater(self._counts[self._keys], 1, out=self._dup)
+        return np.matmul(dup, self._inc, out=self._err)
 
     def deltas(self, i_sel: np.ndarray) -> np.ndarray:
-        k, n = self.k, self.n
-        ar = self._lane_col[:, 0]
-        vi = self._V[ar, i_sel]
-        dv = (self._V - vi[:, None]).astype(np.int16)               # (k, n)
+        V = self._V
+        flat = self._base + i_sel
+        dv = (V - V.reshape(-1)[flat][:, None]).astype(np.int16)    # (k, n)
         TiT = np.ascontiguousarray(
             self._T4[i_sel].transpose(1, 2, 0)
         )[:, :, :, None]                                            # (na, nd, k, 1)
-        D, new, newu, mask = self._D, self._new, self._newu, self._mask
+        D, new, mask = self._D, self._new, self._mask
         np.subtract(TiT, self._Tj, out=D)
-        np.multiply(D, dv[None, None, :, :], out=new)
-        np.add(new, self._oldT[:, :, :, None], out=new)
-        newu[...] = new
-        np.left_shift(self._one, newu, out=mask)
+        np.multiply(D, dv, out=new)
+        np.add(new, self._oldT, out=new)
+        np.left_shift(
+            self._one, new, out=mask, dtype=self._mask_dtype, casting="unsafe"
+        )
         ors = np.bitwise_or.reduce(mask, axis=0)                    # (nd, k, n)
         sumd = np.bitwise_count(ors).sum(axis=0, dtype=np.int32)    # (k, n)
-        mo = np.left_shift(self._one, self._oldT.astype(self._mask_dtype))
-        co = np.bitwise_count(np.bitwise_or.reduce(mo, axis=0)).sum(
-            axis=0, dtype=np.int32
-        )                                                           # (k,)
-        deltas = (co[:, None] - sumd).astype(np.float64)
-        deltas[ar, i_sel] = 0.0
-        return deltas
+        # swapping i with itself changes nothing: column i_sel is the
+        # lane's current distinct count, and its own delta comes out 0
+        return np.subtract(sumd.reshape(-1)[flat][:, None], sumd)
 
     def lane_costs(self, configs: np.ndarray) -> np.ndarray:
         k = len(configs)
@@ -488,7 +470,9 @@ class VectorAllInterval(VectorProblem):
 
     The ``n - 1`` adjacent absolute differences form one bucket family with
     values ``1 .. n-1``; cost = ``(n-1) - distinct``.  Works for ``n <= 62``
-    (int64 masks, no sentinel needed: the full rectangle is valid).
+    (int64 masks, no sentinel needed: the full rectangle is valid).  The
+    post-swap difference tensor is laid out ``(n-1, k, n)`` — difference
+    slot first — so the OR-reduction runs over the leading axis.
     """
 
     MAX_N = 62
@@ -496,55 +480,47 @@ class VectorAllInterval(VectorProblem):
     def __init__(self, problem: AllIntervalProblem, k: int) -> None:
         super().__init__(problem, k)
         n = self.n
-        if n > self.MAX_N:
-            raise ValueError(f"bitmask kernel supports n <= {self.MAX_N}")
-        # indicator: E[pos, d] = [d+1 == pos] - [d == pos] for diff slot d
-        d_ix = np.arange(n - 1)
-        E = np.zeros((n, n - 1), dtype=np.int16)
-        for pos in range(n):
-            E[pos] = (d_ix + 1 == pos).astype(np.int16) - (d_ix == pos).astype(
-                np.int16
-            )
-        self._E = E
-        self._ar = np.arange(k)
-        self._lane_col = self._ar[:, None]
+        self.delta_sentinel = int(np.iinfo(np.int16).max)
+        # indicator: E[d, pos] = [d+1 == pos] - [d == pos] for diff slot d
+        d_ix = np.arange(n - 1)[:, None]
+        pos = np.arange(n)
+        self._E = (d_ix + 1 == pos).astype(np.int16) - (d_ix == pos)
+        self._base = np.arange(k) * n
+        self._one = np.int64(1)
+        # duplicated-difference flags between two zero columns: variable
+        # v's error is the flag to its left plus the flag to its right
+        self._dup = np.zeros((k, n + 1), dtype=np.uint8)
+        self._err = np.empty((k, n), dtype=np.uint8)
 
     def begin_round(self, configs: np.ndarray) -> None:
-        k, n = self.k, self.n
         self._V = configs
         sd = configs[:, 1:] - configs[:, :-1]                 # (k, n-1) signed
-        self._sd = sd.astype(np.int16)
-        ad = np.abs(sd)
-        self._ad = ad
-        keys = self._lane_col * n + ad
-        self._counts = np.bincount(keys.ravel(), minlength=k * n).reshape(k, n)
+        self._sd = np.ascontiguousarray(sd.T, dtype=np.int16)[:, :, None]
+        self._keys = self._base[:, None] + np.abs(sd)
+        self._counts = np.bincount(
+            self._keys.ravel(), minlength=self.k * self.n
+        )
 
     def errors(self) -> np.ndarray:
-        k, n = self.k, self.n
-        dup = (self._counts[self._lane_col, self._ad] > 1).astype(np.float64)
-        errors = np.zeros((k, n), dtype=np.float64)
-        errors[:, :-1] += dup
-        errors[:, 1:] += dup
-        return errors
+        dup = self._dup
+        np.greater(self._counts[self._keys], 1, out=dup[:, 1:-1])
+        return np.add(dup[:, :-1], dup[:, 1:], out=self._err)
 
     def deltas(self, i_sel: np.ndarray) -> np.ndarray:
-        ar = self._ar
-        vi = self._V[ar, i_sel]
-        dv = (self._V - vi[:, None]).astype(np.int16)          # (k, n)
-        Ei = self._E[i_sel]                                    # (k, n-1)
-        D = Ei[:, None, :] - self._E[None, :, :]               # (k, n, n-1)
-        new = self._sd[:, None, :] + D * dv[:, :, None]
+        V = self._V
+        flat = self._base + i_sel
+        dv = (V - V.reshape(-1)[flat][:, None]).astype(np.int16)  # (k, n)
+        E = self._E
+        new = E[:, i_sel][:, :, None] - E[:, None, :]          # (n-1, k, n)
+        new *= dv
+        new += self._sd
         np.abs(new, out=new)
-        mask = np.left_shift(np.int64(1), new.astype(np.int64))
-        distinct = np.bitwise_count(np.bitwise_or.reduce(mask, axis=-1))
-        distinct = distinct.astype(np.int32)                   # (k, n)
-        old_mask = np.left_shift(np.int64(1), self._ad.astype(np.int64))
-        old_distinct = np.bitwise_count(
-            np.bitwise_or.reduce(old_mask, axis=-1)
-        ).astype(np.int32)                                     # (k,)
-        deltas = (old_distinct[:, None] - distinct).astype(np.float64)
-        deltas[ar, i_sel] = 0.0
-        return deltas
+        mask = np.left_shift(self._one, new, dtype=np.int64)
+        distinct = np.bitwise_count(np.bitwise_or.reduce(mask, axis=0))
+        # swapping i with itself changes nothing: column i_sel is the
+        # lane's current distinct count, and its own delta comes out 0
+        old = distinct.reshape(-1)[flat]
+        return np.subtract(old[:, None], distinct, dtype=np.int16)
 
     def lane_costs(self, configs: np.ndarray) -> np.ndarray:
         k, n = len(configs), self.n
@@ -588,17 +564,17 @@ class ScalarLaneFallback(VectorProblem):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_ADAPTERS: dict[Type[Problem], Callable[[Problem, int], VectorProblem]] = {}
+_ADAPTERS: dict[Type[Problem], Type[VectorProblem]] = {}
 
 
 def register_vector_adapter(
     problem_type: Type[Problem],
-) -> Callable[[Callable[[Problem, int], VectorProblem]], Callable]:
+) -> Callable[[Type[VectorProblem]], Type[VectorProblem]]:
     """Class decorator registering a batched adapter for a problem type."""
 
-    def deco(factory: Callable[[Problem, int], VectorProblem]) -> Callable:
-        _ADAPTERS[problem_type] = factory
-        return factory
+    def deco(adapter: Type[VectorProblem]) -> Type[VectorProblem]:
+        _ADAPTERS[problem_type] = adapter
+        return adapter
 
     return deco
 
@@ -608,25 +584,21 @@ register_vector_adapter(CostasProblem)(VectorCostas)
 register_vector_adapter(AllIntervalProblem)(VectorAllInterval)
 
 
+def _batched_adapter(problem: Problem) -> Optional[Type[VectorProblem]]:
+    """The registered adapter whose fast path ``problem`` fits, if any."""
+    adapter = _ADAPTERS.get(type(problem))
+    if adapter is not None and adapter.fits(problem):
+        return adapter
+    return None
+
+
 def has_batched_kernels(problem: Problem) -> bool:
     """True when ``as_vector_problem`` returns a real batched adapter."""
-    factory = _ADAPTERS.get(type(problem))
-    if factory is None:
-        return False
-    try:
-        factory(problem, 1)
-    except ValueError:
-        return False
-    return True
+    return _batched_adapter(problem) is not None
 
 
 def as_vector_problem(problem: Problem, k: int) -> VectorProblem:
     """Best available adapter: a registered batched kernel set when the
-    instance fits its fast path, otherwise the scalar-lane fallback."""
-    factory = _ADAPTERS.get(type(problem))
-    if factory is not None:
-        try:
-            return factory(problem, k)
-        except ValueError:
-            pass  # instance outside the fast path (e.g. too large for masks)
-    return ScalarLaneFallback(problem, k)
+    instance fits its fast path (e.g. small enough for machine-word
+    masks), otherwise the scalar-lane fallback."""
+    return (_batched_adapter(problem) or ScalarLaneFallback)(problem, k)

@@ -8,110 +8,97 @@ tie detection are vectorized across lanes, and only tied lanes touch their
 generator — so lane ``l`` of a vector walk consumes its RNG stream in the
 same order as the scalar walk with the same seed.  That property is what the
 bit-identical trajectory tests pin down.
+
+Every row of a batch is a live lane, so the helpers take whole ``(k, n)``
+matrices and answer with *flat* indices ``lane * n + variable`` — the form
+the engine writes marks and configurations through.  ``bounds`` is
+``arange(k + 1) * n`` (row ``l`` owns the flat range
+``bounds[l]:bounds[l + 1]``) and ``integers[l]`` is lane ``l``'s bound
+``Generator.integers``; the engine keeps both per batch width.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["masked_argmax_lanes", "argmin_lanes"]
 
 
-def _resolve_ties(
-    tie_matrix: np.ndarray,
-    counts: np.ndarray,
-    first: np.ndarray,
-    lanes: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Pick per-lane winners from boolean candidate rows.
+def _pick_candidates(
+    ties: np.ndarray,
+    bounds: np.ndarray,
+    integers: Sequence[Callable[[int, int], int]],
+) -> tuple[np.ndarray, list[int]]:
+    """One candidate per lane from the boolean candidate matrix ``ties``.
 
-    ``first`` must already hold the lowest candidate index per lane (the
-    no-draw answer).  Lanes with more than one candidate draw
-    ``rng.integers(0, count)`` — the same single call the scalar helpers
-    make — and take the c-th candidate in ascending index order.
+    A lane with a single candidate takes it without a draw; a lane with
+    ``c > 1`` draws ``integers(0, c)`` — the one call the scalar helpers
+    make — and takes the c-th candidate in ascending index order.  A lane
+    with no candidate draws nothing, is named in the returned list and
+    answers with its own variable 0.
     """
-    tied = np.flatnonzero(counts > 1)
-    if tied.size == 0:
-        return first
-    out = first.copy()
-    # one nonzero pass over just the tied rows instead of a per-row
-    # flatnonzero: candidates come out grouped by row in ascending column
-    # order, walked via the per-row counts
-    cols = np.nonzero(tie_matrix[tied])[1]
-    cnts = counts[tied].tolist()
-    lanes_t = lanes[tied].tolist()
-    off = 0
-    for idx, row in enumerate(tied.tolist()):
-        c = cnts[idx]
-        pick = int(rngs[lanes_t[idx]].integers(0, c))
-        if pick:  # pick 0 is already `first`
-            out[row] = cols[off + pick]
-        off += c
-    return out
+    # one pass over the flattened matrix: candidates come out as flat
+    # indices grouped by lane in ascending variable order, and the lane
+    # boundaries are a binary search away
+    flat = ties.reshape(-1).nonzero()[0]
+    edges = flat.searchsorted(bounds)
+    empty: list[int] = []
+    for lane, count in enumerate((edges[1:] - edges[:-1]).tolist()):
+        if count > 1:
+            edges[lane] += integers[lane](0, count)
+        elif count == 0:
+            empty.append(lane)
+    if not empty:
+        return flat[edges[:-1]], empty
+    picks = bounds[:-1].copy()
+    some = np.ones(len(picks), dtype=bool)
+    some[empty] = False
+    picks[some] = flat[edges[:-1][some]]
+    return picks, empty
 
 
 def masked_argmax_lanes(
     values: np.ndarray,
     mask: np.ndarray,
-    lanes: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    scratch: bool = False,
-) -> np.ndarray:
-    """Per-lane ``masked_argmax_random_tie`` over the rows ``lanes``.
+    bounds: np.ndarray,
+    integers: Sequence[Callable[[int, int], int]],
+) -> tuple[np.ndarray, list[int]]:
+    """Per-lane ``masked_argmax_random_tie`` over a ``(k, n)`` batch.
 
-    ``values``/``mask`` are the full ``(k, n)`` matrices; only the selected
-    rows are evaluated (and only their generators consumed).  Every selected
-    row must have at least one admissible candidate — with ``scratch=True``
-    the caller vouches for that (the fill value masquerades as the max on an
-    empty row) and permits clobbering masked-out entries of ``values`` in
-    place instead of allocating a shielded copy.
+    Returns the flat index of every lane's pick and the lanes whose mask
+    admits no candidate (see :func:`_pick_candidates`).  ``values`` is
+    scratch: its masked-out entries are overwritten in place.
     """
-    if lanes.size == values.shape[0]:
-        sub_vals, sub_mask = values, mask  # all lanes live: skip the copy
+    if values.dtype.kind == "f":
+        np.copyto(values, -np.inf, where=~mask)
     else:
-        sub_vals, sub_mask = values[lanes], mask[lanes]
-        scratch = True  # the fancy-index copy above is already private
-    if sub_vals.dtype.kind != "f" and scratch:
         # integer errors are non-negative (count-based costs), so zeroing
         # the masked-out entries shields them — a SIMD multiply, much
-        # cheaper than a branchy masked fill.  A zero max can collide with
-        # legitimately zero candidates, hence the explicit re-mask of ties.
-        np.multiply(sub_vals, sub_mask, out=sub_vals)
-        best = sub_vals.max(axis=1)
-        ties = (sub_vals == best[:, None]) & sub_mask
-    else:
-        if sub_vals.dtype.kind == "f":
-            fill = -np.inf
-        else:
-            fill = np.iinfo(sub_vals.dtype).min
-        if scratch:
-            np.copyto(sub_vals, fill, where=~sub_mask)
-            shielded = sub_vals
-        else:
-            shielded = np.where(sub_mask, sub_vals, fill)
-        best = shielded.max(axis=1)
-        if not scratch and not (best > fill).all():
-            raise ValueError("mask admits no candidate for some lane")
-        # any real candidate beats the fill, so equality-with-max alone
-        # finds exactly the admissible ties
-        ties = shielded == best[:, None]
-    counts = ties.sum(axis=1)
-    first = ties.argmax(axis=1)
-    return _resolve_ties(ties, counts, first, lanes, rngs)
+        # cheaper than a branchy masked fill
+        np.multiply(values, mask, out=values)
+    ties = values == values.max(axis=1)[:, None]
+    # the shield value can equal the maximum (a zero maximum, or a lane
+    # with nothing admissible): only admissible entries are candidates
+    ties &= mask
+    return _pick_candidates(ties, bounds, integers)
 
 
 def argmin_lanes(
     values: np.ndarray,
-    lanes: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Per-lane ``argmin_random_tie`` over the rows ``lanes``."""
-    sub = values if lanes.size == values.shape[0] else values[lanes]
-    best = sub.min(axis=1)
-    ties = sub == best[:, None]
-    counts = ties.sum(axis=1)
-    first = ties.argmax(axis=1)
-    return _resolve_ties(ties, counts, first, lanes, rngs)
+    bounds: np.ndarray,
+    integers: Sequence[Callable[[int, int], int]],
+    skip: Sequence[int] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane ``argmin_random_tie`` over a ``(k, n)`` batch.
+
+    Returns the flat index of every lane's pick and the ``(k,)`` row
+    minima.  Lanes in ``skip`` select nothing: they draw nothing and their
+    two answers are meaningless.
+    """
+    best = values.min(axis=1)
+    ties = values == best[:, None]
+    if skip:
+        ties[skip] = False
+    return _pick_candidates(ties, bounds, integers)[0], best

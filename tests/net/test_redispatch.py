@@ -56,9 +56,11 @@ class TestNodeDeath:
             client = cluster.client()
             problem = make_problem("magic_square", n=16)
             # a node's two walks advance together as lanes, so the job
-            # lasts as long as its *fastest* walk: under seed 0 every walk
-            # needs 10k+ iterations, which outlives the kill at 0.5s
-            handle = client.submit(problem, 4, seed=0, config=CFG)
+            # lasts as long as its *fastest* walk: under seed 23 every walk
+            # needs 42k+ iterations (a few seconds of two-lane rounds),
+            # which outlives the kill at 0.5s *and* its detection a
+            # heartbeat timeout later with room to spare
+            handle = client.submit(problem, 4, seed=23, config=CFG)
             result = handle.result(timeout=300)
             assert result.status is JobStatus.SOLVED
             assert problem.is_solution(result.config)

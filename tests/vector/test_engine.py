@@ -177,3 +177,177 @@ class TestVectorTelemetry:
         assert kinds.count("walk_start") == 3
         assert kinds.count("walk_finish") == 3
         assert "iteration" in kinds or result.winner.iterations < 50
+
+
+class CostTrace:
+    """Scalar-side witness: (cost, best cost) after every iteration."""
+
+    def __init__(self):
+        self.after = {}
+
+    def on_iteration(self, info):
+        self.after[info.iteration] = (info.cost, info.best_cost)
+
+
+def scalar_witnesses(problem_factory, config, seeds):
+    traces, results = [], []
+    for seed in seeds:
+        trace = CostTrace()
+        results.append(
+            AdaptiveSearch(config).solve(
+                problem_factory(), seed, callbacks=[trace]
+            )
+        )
+        traces.append(trace)
+    return traces, results
+
+
+class TestPerLaneViewsAcrossRetirements:
+    """``iterations`` / ``cost`` / ``best_cost`` / ``active`` answer per
+    *original* lane whatever the batch has shrunk to: a running lane
+    reports its current values, a finished one stays at its final ones."""
+
+    SEEDS = [21, 22, 23, 24, 25, 26]
+
+    def run(self, first_wins):
+        config = AdaptiveSearchConfig(max_iterations=3000)
+        snapshots = []
+
+        def snapshot(engine):
+            snapshots.append(
+                (
+                    engine.rounds,
+                    engine.iterations.copy(),
+                    engine.cost.copy(),
+                    engine.best_cost.copy(),
+                    engine.active.copy(),
+                )
+            )
+
+        engine = VectorWalkEngine(
+            magic(5),
+            k=len(self.SEEDS),
+            config=config,
+            seeds=self.SEEDS,
+            first_wins=first_wins,
+            round_callback=snapshot,
+        )
+        generators = list(engine.rngs)
+        outcome = engine.run()
+        traces, scalars = scalar_witnesses(lambda: magic(5), config, self.SEEDS)
+        return engine, outcome, snapshots, traces, scalars, generators
+
+    def test_finished_lanes_stay_at_their_final_values(self):
+        engine, outcome, snapshots, traces, scalars, _ = self.run(False)
+        final = [walk.stats.iterations for walk in outcome.walks]
+        assert final == [s.stats.iterations for s in scalars]
+        assert len(set(final)) == len(final)  # six retirements, six widths
+        assert len(snapshots) == max(final)
+        for rounds, iterations, cost, best, active in snapshots:
+            for lane, done_at in enumerate(final):
+                # a lane is live through the callback of its last round
+                at = min(rounds, done_at)
+                assert iterations[lane] == at, (rounds, lane)
+                assert active[lane] == (rounds <= done_at), (rounds, lane)
+                assert (cost[lane], best[lane]) == traces[lane].after[at]
+        # after the run every lane is finished and still answers
+        assert not engine.active.any()
+        assert engine.iterations.tolist() == final
+        assert engine.best_cost.tolist() == [w.cost for w in outcome.walks]
+        assert engine.solved_lanes == [
+            lane for lane, walk in enumerate(outcome.walks) if walk.solved
+        ]
+
+    def test_first_wins_views(self):
+        engine, outcome, snapshots, traces, _, _ = self.run(True)
+        winner = outcome.winner_lane
+        won_at = outcome.walks[winner].stats.iterations
+        assert len(snapshots) == won_at
+        assert engine.iterations.tolist() == [won_at] * len(self.SEEDS)
+        assert engine.cost[winner] == 0
+        for lane in range(len(self.SEEDS)):
+            assert (
+                engine.cost[lane], engine.best_cost[lane]
+            ) == traces[lane].after[won_at]
+
+    def test_a_retired_lane_never_draws_again(self):
+        """The draws are the contract: a lane's generator must stand, when
+        the batch ends, where the scalar walk left it."""
+        _, outcome, _, _, _, generators = self.run(False)
+        budget = 3000  # a session leaves the iteration budget to its driver
+        for seed, generator in zip(self.SEEDS, generators):
+            session = AdaptiveSearch().session(magic(5), seed)
+            while (left := budget - session.stats.iterations) > 0:
+                if session.step(min(64, left)) is not None:
+                    break
+            assert (
+                generator.bit_generator.state == session.rng.bit_generator.state
+            )
+
+
+class TestVectorTelemetryEvents:
+    """Milestones and finishes name the same lanes, with the same counts,
+    whether or not finished lanes are still rows of the batch."""
+
+    SEEDS = [31, 32, 33, 34, 35]
+    WALK_IDS = [10, 12, 14, 16, 18]
+    EVERY = 25
+
+    @pytest.mark.parametrize("first_wins", [False, True])
+    def test_events_follow_the_scalar_walks(self, first_wins):
+        from repro.telemetry.vector import VectorTelemetry
+
+        config = AdaptiveSearchConfig(max_iterations=2000)
+        sink = RingBufferSink(capacity=100_000)
+        telemetry = VectorTelemetry(
+            Recorder(enabled=True, sinks=[sink]),
+            trace_id="t",
+            job_id=3,
+            walk_ids=self.WALK_IDS,
+            milestone_every=self.EVERY,
+        )
+        engine = VectorWalkEngine(
+            magic(5),
+            k=len(self.SEEDS),
+            config=config,
+            seeds=self.SEEDS,
+            first_wins=first_wins,
+            round_callback=telemetry.round_callback,
+        )
+        telemetry.on_start(engine)
+        outcome = engine.run()
+        telemetry.on_finish(outcome)
+
+        traces, scalars = scalar_witnesses(lambda: magic(5), config, self.SEEDS)
+        final = [walk.stats.iterations for walk in outcome.walks]
+        if not first_wins:
+            assert final == [s.stats.iterations for s in scalars]
+        lane_of = {walk_id: lane for lane, walk_id in enumerate(self.WALK_IDS)}
+        records = sink.records
+        starts = [r for r in records if r["event"] == "walk_start"]
+        assert [r["walk_id"] for r in starts] == self.WALK_IDS
+        milestones = [r for r in records if r["event"] == "iteration"]
+        expected = {
+            (walk_id, at)
+            for lane, walk_id in enumerate(self.WALK_IDS)
+            for at in range(self.EVERY, final[lane] + 1, self.EVERY)
+        }
+        assert {(r["walk_id"], r["iteration"]) for r in milestones} == expected
+        assert len(milestones) == len(expected)
+        for record in milestones:
+            assert record["job_id"] == 3 and record["trace_id"] == "t"
+            trace = traces[lane_of[record["walk_id"]]]
+            assert (record["cost"], record["best_cost"]) == trace.after[
+                record["iteration"]
+            ]
+        finishes = [r for r in records if r["event"] == "walk_finish"]
+        assert [r["walk_id"] for r in finishes] == self.WALK_IDS
+        for lane, record in enumerate(finishes):
+            walk = outcome.walks[lane]
+            assert record["iterations"] == final[lane]
+            assert record["solved"] == walk.solved
+            assert record["cost"] == walk.cost
+        registry = telemetry.recorder.registry
+        assert registry.counter("vector.rounds").value == engine.rounds
+        assert registry.counter("vector.lane_iterations").value == sum(final)
+        assert registry.counter("vector.lanes").value == len(self.SEEDS)
