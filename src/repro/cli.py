@@ -28,6 +28,17 @@ Usage (after ``pip install -e .``)::
 
 Every subcommand prints human-readable text to stdout and returns a
 process exit status (0 on success, 1 on a failed solve, 2 on bad usage).
+
+Importing this module, building the parser and most verbs load no scipy:
+``repro.stats`` imports it inside the functions that fit (DESIGN.md,
+"Start-up and resident set").  ``sample`` / ``experiment`` /
+``autoscale`` load it once, when their report fits (``bench`` only in the
+scripts it spawns); ``node`` and ``service`` must not, because the pool
+workers they fork would each carry a copy.  Two verbs load it on purpose
+before they listen — ``gateway`` always (its planner fits) and
+``coordinator`` under ``--autoscale`` (its predictor refits) — because
+both would otherwise take the library's load on their event loop, in the
+middle of a job.
 """
 
 from __future__ import annotations
@@ -404,6 +415,10 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
     _configure_tracing(args, "coordinator")
     predictor = None
     if args.autoscale:
+        # the predictor refits on the event loop as solved walks stream
+        # in: pay scipy's ~0.6 s load now, before anything listens
+        import scipy.stats  # noqa: F401
+
         from repro.autoscale import ModelStore, Predictor
 
         predictor = Predictor(ModelStore.open(args.autoscale))
@@ -607,6 +622,11 @@ def cmd_node(args: argparse.Namespace) -> int:
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Run the solve-as-a-service HTTP/WebSocket gateway until interrupted."""
     import asyncio
+
+    # the planner fits on the event loop once a tenant leaves n_walkers
+    # open: pay scipy's ~0.6 s load now, before anything listens, not
+    # inside that tenant's request
+    import scipy.stats  # noqa: F401
 
     from repro.gateway import AdmissionController, Gateway, TenantRegistry
     from repro.net import parse_address

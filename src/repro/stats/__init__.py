@@ -15,6 +15,11 @@ demonstrate):
   ``E[T] / t0`` — the CSPLib-benchmark regime;
 - a lognormal body saturates even earlier — what heavy preprocessing or
   tiny instances look like.
+
+Import rule: no module of this package imports scipy at module level — the
+functions that call it (the fitters, ``degenerate_fit``, ``refreeze``,
+``compare_runtimes``) import it themselves, so importing ``repro.stats``
+costs no more than numpy and the first fit in a process pays the load.
 """
 
 from repro.stats.ecdf import ECDF

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.util.rng import SeedLike, as_generator
 
@@ -74,6 +73,8 @@ def compare_runtimes(
     rng: SeedLike = None,
 ) -> ComparisonResult:
     """Nonparametric comparison of two independent runtime samples."""
+    from scipy import stats as sps
+
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size < 2 or b.size < 2:

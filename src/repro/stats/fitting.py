@@ -9,6 +9,12 @@ and rank them by Kolmogorov-Smirnov distance:
 - ``shifted_exponential``: location ``t0`` plus exponential excess; predicts
   speedup saturating at ``mean / t0``.
 - ``lognormal``: heavy-bodied alternative for small/preprocessed instances.
+
+scipy is imported inside the functions that call it (the fitters,
+:func:`degenerate_fit`, :func:`refreeze`), never at module level: the
+served stack imports this module on every node and forks its pool workers
+afterwards, and none of them fits a distribution (DESIGN.md, "Start-up and
+resident set").  The first fit in a process pays the library's load.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import DegenerateSamplesError
 
@@ -44,7 +49,10 @@ class DistributionFit:
     """A fitted runtime distribution.
 
     ``params`` are scipy ``(shape..., loc, scale)`` conventions for the
-    underlying frozen distribution stored in ``frozen``.
+    underlying frozen distribution stored in ``frozen`` — a
+    ``scipy.stats`` ``rv_frozen`` built by the function that made the fit
+    (a fitter, :func:`degenerate_fit` or :func:`refreeze`), which is also
+    where scipy is imported; holding or querying a fit imports nothing.
     """
 
     name: str
@@ -53,7 +61,7 @@ class DistributionFit:
     ks_statistic: float
     ks_pvalue: float
     log_likelihood: float
-    frozen: object  # scipy frozen distribution
+    frozen: object  # scipy.stats rv_frozen
 
     def survival(self, t: np.ndarray | float) -> np.ndarray | float:
         return self.frozen.sf(t)
@@ -81,6 +89,8 @@ def _validate(samples: Sequence[float]) -> np.ndarray:
 
 
 def _make_fit(name: str, frozen, params: tuple[float, ...], arr: np.ndarray) -> DistributionFit:
+    from scipy import stats as sps
+
     ks = sps.kstest(arr, frozen.cdf)
     with np.errstate(divide="ignore"):
         logpdf = frozen.logpdf(arr)
@@ -98,6 +108,8 @@ def _make_fit(name: str, frozen, params: tuple[float, ...], arr: np.ndarray) -> 
 
 def fit_exponential(samples: Sequence[float]) -> DistributionFit:
     """MLE exponential fit (loc fixed at 0): rate = 1/mean."""
+    from scipy import stats as sps
+
     arr = _validate(samples)
     scale = float(arr.mean())
     if scale <= 0:
@@ -112,6 +124,8 @@ def fit_shifted_exponential(samples: Sequence[float]) -> DistributionFit:
     The location estimate is the standard MLE (sample minimum); a small
     shrinkage keeps the likelihood finite at the smallest observation.
     """
+    from scipy import stats as sps
+
     arr = _validate(samples)
     loc = float(arr.min())
     excess = float(arr.mean() - loc)
@@ -128,6 +142,8 @@ def fit_shifted_exponential(samples: Sequence[float]) -> DistributionFit:
 
 def fit_lognormal(samples: Sequence[float]) -> DistributionFit:
     """MLE lognormal fit with loc = 0 (requires strictly positive samples)."""
+    from scipy import stats as sps
+
     arr = _validate(samples)
     if np.any(arr <= 0):
         raise ValueError("lognormal fit requires strictly positive samples")
@@ -176,6 +192,8 @@ def degenerate_fit(samples: Sequence[float]) -> DistributionFit:
     and sensible (``E[min_k] ~ mean`` for every ``k`` — no predicted
     speedup, which is the honest answer when all evidence is one point).
     """
+    from scipy import stats as sps
+
     arr = np.asarray(samples, dtype=np.float64).ravel()
     finite = arr[np.isfinite(arr)]
     loc = float(max(0.0, finite.mean())) if finite.size else 0.0
@@ -200,6 +218,8 @@ def refreeze(name: str, params: Sequence[float]) -> DistributionFit:
     degenerate point masses refreeze as ``expon(loc, scale)``, lognormals
     as ``lognorm(shape, loc, scale)``.
     """
+    from scipy import stats as sps
+
     values = tuple(float(p) for p in params)
     if name in ("exponential", "shifted_exponential", "degenerate"):
         if len(values) != 2:
@@ -239,13 +259,16 @@ def best_fit(
     are skipped; at least one candidate must succeed.
 
     Degenerate inputs — constant samples, all-near-zero samples, or fewer
-    than :data:`MIN_FIT_SAMPLES` values — never reach scipy (whose MLE
-    paths emit RuntimeWarnings and NaNs there).  With the default
+    than :data:`MIN_FIT_SAMPLES` values — never reach scipy's *MLE paths*
+    (which emit RuntimeWarnings and NaNs there).  With the default
     ``on_degenerate="raise"`` they raise
-    :class:`~repro.errors.DegenerateSamplesError` naming the reason; with
-    ``on_degenerate="fallback"`` they return the labeled point-mass
-    :func:`degenerate_fit` instead, which is what the online refit loop
-    uses so a cold-start model is usable rather than an exception.
+    :class:`~repro.errors.DegenerateSamplesError` naming the reason
+    without loading scipy at all; with ``on_degenerate="fallback"`` they
+    return the labeled point-mass :func:`degenerate_fit` instead, which is
+    what the online refit loop uses so a cold-start model is usable rather
+    than an exception.  That point mass is a frozen ``scipy.stats.expon``,
+    so in a process that observes before it can fit, the cold-start
+    fallback — not the first real fit — is what first loads the library.
     """
     if on_degenerate not in ("raise", "fallback"):
         raise ValueError(
