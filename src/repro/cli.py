@@ -342,6 +342,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+def _log_lane_kernels() -> None:
+    """One start-up line on stderr: what this host's lane slices run on,
+    and why not ``lanes.c`` when they do not."""
+    from repro.vector import kernel_backend
+
+    name, error = kernel_backend()
+    reason = f" ({error.splitlines()[0]})" if error else ""
+    print(f"lane kernels: {name}{reason}", file=sys.stderr, flush=True)
+
+
 def cmd_service(args: argparse.Namespace) -> int:
     """Batch front-end: run many solve jobs on one warm worker pool."""
     from repro.service import (
@@ -372,6 +382,7 @@ def cmd_service(args: argparse.Namespace) -> int:
         )
         return 2
     _forward_termination_signals()
+    _log_lane_kernels()
     service = SolverService(
         n_workers=args.workers,
         mp_context=args.mp_context,
@@ -544,6 +555,7 @@ def cmd_node(args: argparse.Namespace) -> int:
     _forward_termination_signals()
     addresses = parse_addresses(args.connect)
     _configure_tracing(args, args.name or "node")
+    _log_lane_kernels()
 
     def _agent(service=None) -> NodeAgent:
         return NodeAgent(

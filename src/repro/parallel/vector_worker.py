@@ -17,6 +17,11 @@ from repro.core.config import AdaptiveSearchConfig
 from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
 
+# imported with this module, so by the parent before it starts a worker:
+# the compiled lane kernels are built (once per machine) and loaded there,
+# a forked worker inherits the mapping and a spawned one finds the cache warm
+from repro.vector.engine import VectorWalkEngine
+
 __all__ = ["run_vector_slice"]
 
 
@@ -40,8 +45,6 @@ def run_vector_slice(
     executor's ``poll_every`` iterations).
     """
     try:
-        from repro.vector.engine import VectorWalkEngine
-
         def on_round(engine: Any) -> bool | None:
             if (
                 engine.rounds % poll_every_rounds == 0

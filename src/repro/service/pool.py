@@ -240,6 +240,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # problems
     # ------------------------------------------------------------------
+    def holds_problem(self, problem: Problem) -> bool:
+        """Whether this very object is registered already (and so was
+        serialized once and is kept alive: its ``id`` cannot be reused)."""
+        return id(problem) in self._problem_ids
+
     def register_problem(self, problem: Problem) -> int:
         """Idempotently register ``problem``; returns its pool-wide id.
 

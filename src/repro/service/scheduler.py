@@ -5,8 +5,8 @@ one shared :class:`~repro.service.pool.WorkerPool`:
 
 - every submitted :class:`~repro.service.jobs.Job` is split into *slices*
   of its walks, each slice one pool task tagged with the job's cancel
-  token.  A problem with batched vector kernels
-  (:func:`repro.vector.has_batched_kernels`) is dealt round-robin into
+  token.  A problem with batched vector kernels, compiled or NumPy
+  (:func:`repro.vector.lane_kernel`), is dealt round-robin into
   ``min(n_walks, n_workers)`` slices, so every worker advances its whole
   share of the job at once as the lanes of one
   :class:`~repro.vector.engine.VectorWalkEngine`; any other problem gets
@@ -69,7 +69,7 @@ from repro.telemetry.recorder import (
     get_recorder,
 )
 from repro.util.rng import SeedLike
-from repro.vector.problems import has_batched_kernels
+from repro.vector.problems import lane_kernel
 
 __all__ = ["JobHandle", "SolverService"]
 
@@ -144,7 +144,7 @@ class _JobState:
 
     __slots__ = (
         "job", "job_id", "seq", "handle", "problem_id", "token", "retry",
-        "seeds", "slices", "submitted_at", "first_dispatch_at",
+        "seeds", "slices", "kernel", "submitted_at", "first_dispatch_at",
         "deadline_at", "outstanding", "winner", "retries", "crashes",
         "error", "trace",
     )
@@ -176,6 +176,8 @@ class _JobState:
         )
         #: the pool tasks of this job, each a tuple of walk ids
         self.slices: list[tuple[int, ...]] = []
+        #: what a multi-walk slice of this job runs on (``lane_kernel``)
+        self.kernel = "scalar"
         self.submitted_at = submitted_at
         self.first_dispatch_at: float | None = None
         self.deadline_at = (
@@ -378,14 +380,18 @@ class SolverService:
             self.start()
         # fail fast in the caller's frame: an un-picklable problem would
         # otherwise surface asynchronously (queue feeder thread) and read
-        # like a worker crash-retry loop instead of a usage error
-        try:
-            pickle.dumps(job.problem, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as err:
-            raise ParallelError(
-                f"problem {type(job.problem).__name__!r} is not picklable "
-                f"and cannot be shipped to pool workers: {err}"
-            ) from err
+        # like a worker crash-retry loop instead of a usage error.  An
+        # object the pool already holds has been through it: a node agent
+        # submits the same cached problem for every job of a digest
+        pool = self._pool
+        if pool is None or not pool.holds_problem(job.problem):
+            try:
+                pickle.dumps(job.problem, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as err:
+                raise ParallelError(
+                    f"problem {type(job.problem).__name__!r} is not "
+                    f"picklable and cannot be shipped to pool workers: {err}"
+                ) from err
         job_id = next(self._job_counter)
         handle = JobHandle(job_id, self)
         self.metrics.record_submit()
@@ -562,10 +568,10 @@ class SolverService:
             # workers and the problem has batched kernels: then one lane
             # batch per worker
             n_slices = len(walk_ids)
-            if n_slices > self.n_workers and has_batched_kernels(
-                state.job.problem
-            ):
-                n_slices = self.n_workers
+            if n_slices > self.n_workers:
+                state.kernel = lane_kernel(state.job.problem)
+                if state.kernel != "scalar":
+                    n_slices = self.n_workers
             state.slices = [
                 tuple(walk_ids[i] for i in indices)
                 for indices in partition_walks(len(walk_ids), n_slices)
@@ -642,6 +648,7 @@ class SolverService:
                         worker=worker_id,
                         walk_ids=walk_ids,
                         lanes=len(walk_ids) if len(walk_ids) > 1 else 0,
+                        kernel=state.kernel if len(walk_ids) > 1 else "scalar",
                     )
                 )
 

@@ -103,8 +103,12 @@ class JobDispatch(TelemetryEvent):
     """One task handed to a concrete executor slot.
 
     A pool task is a slice of a job's walks: ``walk_ids`` names them all
-    (``walk_id`` is the first) and ``lanes`` is how many run as lanes of
-    one vector engine (0 = a single walk on the scalar engine).
+    (``walk_id`` is the first), ``lanes`` is how many run as lanes of one
+    vector engine (0 = a single walk on the scalar engine) and ``kernel``
+    is what those lanes run on — ``"compiled"`` (``lanes.c``), ``"numpy"``
+    (its build is not there, or has no kernels for the problem) or
+    ``"scalar"``; empty where the dispatcher does not decide it (a
+    coordinator handing walks to a node).
     """
 
     kind = "job_dispatch"
@@ -115,6 +119,7 @@ class JobDispatch(TelemetryEvent):
     node: str = ""
     walk_ids: tuple[int, ...] = ()
     lanes: int = 0
+    kernel: str = ""
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -290,9 +290,11 @@ def _describe(record: dict[str, Any]) -> str:
         where = record.get("node") or f"worker {record.get('worker')}"
         if record.get("lanes"):
             walks = ",".join(str(w) for w in record.get("walk_ids", ()))
+            kernel = record.get("kernel")
             return (
                 f"dispatch job={record.get('job_id')} walks={walks} "
                 f"as {record['lanes']} lanes -> {where}"
+                + (f" kernel={kernel}" if kernel else "")
             )
         return (
             f"dispatch job={record.get('job_id')} "

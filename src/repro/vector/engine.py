@@ -5,8 +5,9 @@ simultaneously.  Each round every live lane executes exactly one iteration
 of the scalar loop in :class:`repro.core.session.AdaptiveSearchSession` —
 worst-variable selection, best-swap evaluation, tabu/plateau/local-minimum
 bookkeeping, partial resets and restarts — but the per-iteration O(n) work
-is batched across lanes through a :class:`~repro.vector.problems.VectorProblem`
-kernel set, amortizing NumPy's per-call overhead over the whole lane block.
+is batched across lanes: through the compiled kernels of ``lanes.c`` where
+they are loaded and cover the problem, through a NumPy
+:class:`~repro.vector.problems.VectorProblem` kernel set everywhere else.
 
 Equivalence contract
 --------------------
@@ -39,6 +40,23 @@ indices.  What stays per lane is the draws — the contract above — and the
 partial resets they drive.  ``iterations`` / ``cost`` / ``best_cost`` /
 ``active`` are assembled per *original* lane on demand.
 
+Two rounds, one contract
+------------------------
+The lifecycle around a round — seeding, the pre-phase, retirement, partial
+resets, restarts, callbacks, results — is one body of code.  The round
+itself exists twice.  ``_compiled_round`` is three calls into ``lanes.c``
+(errors and the worst-variable candidates; the picked variable's deltas,
+the best-swap candidates and the local-minimum flags; then marks, counters,
+swaps, incremental state, cost and best-so-far) with the draws made here in
+Python between the calls: C never sees a generator, so a lane's stream does
+not depend on how the round is executed.  ``_round`` is the same iteration
+as whole-batch NumPy statements; it is the only lane path on a host where
+``lanes.c`` could not be built, the path of third-party adapters and of an
+explicit ``vector_problem=``, and the reference the compiled kernels are
+tested against.  Which one runs is observed
+(:func:`repro.vector.problems.lane_kernel`), never chosen: there is no
+argument, option or environment variable for it.
+
 First-finisher semantics
 ------------------------
 With ``first_wins=True`` (the multi-walk executor's mode) the batch stops
@@ -70,7 +88,12 @@ from repro.parallel.seeding import walk_seeds
 from repro.problems.base import Problem
 from repro.util.rng import SeedLike
 from repro.util.timing import Stopwatch
-from repro.vector.problems import VectorProblem, as_vector_problem
+from repro.vector.problems import (
+    CompiledLanes,
+    VectorProblem,
+    as_vector_problem,
+    lane_kernel,
+)
 from repro.vector.selection import argmin_lanes, masked_argmax_lanes
 
 __all__ = ["VectorWalkEngine", "VectorRunOutcome", "solve_vector"]
@@ -87,6 +110,11 @@ _STAT_FIELDS = (
     "restarts",
 )
 _SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS = range(7)
+
+#: why ``lanes_apply`` hands a lane back for a partial reset (0: it does
+#: not): a refused local minimum over the reset limit — the other reason,
+#: every variable frozen, skips the iteration's best-tracking
+_REJECTED = 2
 
 #: the per-lane arrays a retirement compresses (the counters aside)
 _LANE_ARRAYS = (
@@ -183,7 +211,16 @@ class VectorWalkEngine:
             seeds = walk_seeds(k, seed)
         self.seeds = list(seeds)
         self.rngs = [np.random.default_rng(s) for s in self.seeds]
-        self.vp = vector_problem or as_vector_problem(problem, k)
+        # observed, never chosen: the compiled round runs where its
+        # kernels are loaded and cover the problem, the NumPy round
+        # everywhere else (an explicit ``vector_problem=`` included)
+        if vector_problem is not None:
+            self.vp = vector_problem
+        elif lane_kernel(problem) == "compiled":
+            self.vp = CompiledLanes(problem, k)
+        else:
+            self.vp = as_vector_problem(problem, k)
+        self._compiled = isinstance(self.vp, CompiledLanes)
 
         n = self.n
         self._configs = np.empty((k, n), dtype=np.int64)
@@ -202,9 +239,12 @@ class VectorWalkEngine:
             if math.isfinite(base.max_iterations)
             else math.inf
         )
-        mark_dtype = (
-            np.int16 if mark_bound < np.iinfo(np.int16).max else np.int32
-        )
+        if self._compiled:
+            mark_dtype = np.int64  # the one width lanes.c reads
+        elif mark_bound < np.iinfo(np.int16).max:
+            mark_dtype = np.int16
+        else:
+            mark_dtype = np.int32
         self._marks = np.zeros((k, n), dtype=mark_dtype)
         self._stats = np.zeros((len(_STAT_FIELDS), k), dtype=np.int64)
         # the round a lane's next restart falls due; only a restart moves it
@@ -222,13 +262,20 @@ class VectorWalkEngine:
         self._set_width()
 
     def _set_width(self) -> None:
-        """Per-width scratch: flat row bounds, buffers, cached draw methods."""
+        """Per-width scratch: cached draw methods, then the compiled
+        round's block or the NumPy round's flat row bounds and buffers."""
         m = len(self.rngs)
+        self._integers = [rng.integers for rng in self.rngs]
+        self._randoms = [rng.random for rng in self.rngs]
+        if self._compiled:
+            self.vp.bind(
+                self._configs, self._marks, self._cost, self._best_cost,
+                self._best_configs, self._stats, self.config,
+            )
+            return
         self._bounds = np.arange(m + 1) * self.n
         self._eligible = np.empty((m, self.n), dtype=bool)
         self._better = np.empty(m, dtype=bool)
-        self._integers = [rng.integers for rng in self.rngs]
-        self._randoms = [rng.random for rng in self.rngs]
 
     # ------------------------------------------------------------------
     # per-original-lane views, assembled on demand: finished lanes stay at
@@ -270,12 +317,13 @@ class VectorWalkEngine:
         callback = self.round_callback
         time_limit = self.config.time_limit
         timed = math.isfinite(time_limit)
+        one_round = self._compiled_round if self._compiled else self._round
         with sw:
             while True:
                 self._pre_phase()
                 if not self.rngs:
                     break
-                self._round()
+                one_round()
                 self.rounds += 1
                 if callback is not None and callback(self) is False:
                     self._retire_all(TerminationReason.CANCELLED)
@@ -372,7 +420,8 @@ class VectorWalkEngine:
         keep[list(done)] = False
         for name in _LANE_ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
-        self._stats = self._stats[:, keep]
+        # a mask on the second axis answers in column-major order
+        self._stats = np.ascontiguousarray(self._stats[:, keep])
         self.rngs = [rng for rng, kept in zip(self.rngs, keep.tolist()) if kept]
         if self.rngs:
             # every adapter starts from a bare configuration matrix
@@ -380,8 +429,50 @@ class VectorWalkEngine:
             self._set_width()
 
     # ------------------------------------------------------------------
+    def _compiled_round(self) -> None:
+        """One lock-step iteration of every lane: three calls into
+        ``lanes.c``, and between them the draws, per lane, at the scalar
+        call sites and in the scalar order — ``integers(0, c)`` for a lane
+        whose selection is tied ``c`` ways, ``random()`` for a lane at a
+        local minimum, then the partial resets."""
+        it = self.rounds + 1
+        vp = self.vp
+        lib, block = vp.lib, vp.block
+        integers = self._integers
+        pending, answers = vp.pending, vp.answers
+
+        # worst variable that is not frozen ...
+        lib.lanes_worst(block, it)
+        answers[0] = [
+            integers[row](0, count) if count > 1 else 0
+            for row, count in enumerate(pending[0].tolist())
+        ]
+        # ... its best swap (never with itself) ...
+        lib.lanes_best_swap(block)
+        randoms = self._randoms
+        prob = self.config.prob_select_loc_min
+        draws, accepted = [], []
+        for row, (count, local_min) in enumerate(zip(*pending.tolist())):
+            draws.append(integers[row](0, count) if count > 1 else 0)
+            accepted.append(local_min and randoms[row]() < prob)
+        answers[...] = (draws, accepted)
+        # ... and the iteration's bookkeeping, swap and best-so-far
+        if lib.lanes_apply(block, it):
+            # some lanes were handed back for a partial reset; a refused
+            # local minimum is still seen by the scalar loop's
+            # best-tracking, after its reset
+            for row, why in enumerate(vp.resets.tolist()):
+                if why:
+                    self._partial_reset(row)
+                    if (
+                        why == _REJECTED
+                        and self._cost[row] < self._best_cost[row]
+                    ):
+                        self._best_cost[row] = self._cost[row]
+                        self._best_configs[row] = self._configs[row]
+
     def _round(self) -> None:
-        """One lock-step iteration of every lane."""
+        """One lock-step iteration of every lane, in NumPy."""
         cfg = self.config
         it = self.rounds + 1
         vp = self.vp

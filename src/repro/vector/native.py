@@ -1,0 +1,182 @@
+"""Build once, load once: the compiled lane kernels of ``lanes.c``.
+
+``lanes.c`` ships beside this file as package data.  It is compiled by the
+platform's C compiler (``$CC``, else ``cc``) into the per-user cache,
+
+    ``${XDG_CACHE_HOME:-~/.cache}/repro/lanes-<sha256 of source + flags>.so``
+
+once per machine and source version, and loaded with :mod:`ctypes` when
+:mod:`repro.vector` is imported — so before any pool forks (the workers
+inherit the mapping), never inside a job, and never by ``import repro`` or
+``repro.cli``, which do not import ``repro.vector``.
+
+Nothing selects the outcome: a library that loads is used, and anything
+else — no compiler, an unusable cache directory, a failed build — leaves
+:data:`LOADED` without one and the engine on its NumPy round.  A failed
+build warns once, with the compiler's stderr; the other causes are quiet
+and :func:`kernel_backend` names them.
+
+The cache rule: the directory is created ``0700`` and is used only when it
+belongs to the caller and nobody else can write to it; a build is written
+under a temporary name and moved into place with :func:`os.replace`, so two
+cold starters never see half a file; the only file ever loaded is the one
+whose name carries the hash of the source being imported.
+
+This module imports the standard library only.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import stat
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+__all__ = ["KernelBackend", "LaneBlock", "LOADED", "kernel_backend", "load_library"]
+
+SOURCE = Path(__file__).with_name("lanes.c")
+FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+
+INT64_P = ctypes.POINTER(ctypes.c_int64)
+DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+class LaneBlock(ctypes.Structure):
+    """``lane_block`` of ``lanes.c``, field for field."""
+
+    _fields_ = [
+        *((name, ctypes.c_int64) for name in (
+            "kind", "m", "n", "order", "state_size",
+            "plateau_is_local_min", "freeze_swap", "freeze_loc_min",
+            "reset_limit",
+        )),
+        *((name, INT64_P) for name in (
+            "configs", "marks", "best_configs", "stats",
+        )),
+        ("cost", DOUBLE_P),
+        ("best_cost", DOUBLE_P),
+        *((name, INT64_P) for name in (
+            "state", "dirty", "err", "deltas", "cand",
+            "count", "local_min", "draw", "accept",
+            "i_sel", "delta", "resets",
+        )),
+    ]
+
+
+class Loaded(NamedTuple):
+    """What :func:`load_library` found."""
+
+    lib: Optional[ctypes.CDLL]
+    path: Optional[Path]
+    error: str  # why there is no library ("" when there is one)
+
+
+class KernelBackend(NamedTuple):
+    """Which lane round this process runs, and why not the compiled one."""
+
+    name: str  # "compiled" | "numpy"
+    error: str
+
+
+def _cache_dir() -> Path:
+    """The caller's own cache directory; ``OSError`` when it is not usable."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    path = Path(base) / "repro"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    status = path.stat()
+    if status.st_uid != os.getuid():
+        raise OSError(f"cache directory {path} belongs to another user")
+    if stat.S_IMODE(status.st_mode) & 0o022:
+        raise OSError(f"cache directory {path} is writable by others")
+    return path
+
+
+def _build(source: Path, target: Path) -> str:
+    """Compile ``source`` into ``target``; the error text ("" on success)."""
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    handle, scratch = tempfile.mkstemp(
+        dir=target.parent, prefix=".lanes-", suffix=".tmp"
+    )
+    os.close(handle)
+    try:
+        proc = subprocess.run(
+            [*compiler, *FLAGS, "-o", scratch, str(source)],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            error = (
+                f"{' '.join(compiler)} exited with status {proc.returncode}"
+                f" building {source.name}:\n{proc.stderr}".rstrip()
+            )
+            warnings.warn(
+                f"compiled lane kernels unavailable, lanes run the NumPy "
+                f"round: {error}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return error
+        os.replace(scratch, target)
+        return ""
+    except FileNotFoundError:
+        return f"no C compiler: {compiler[0]!r} not found"
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+
+
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare every entry point; ``OSError`` on a struct that disagrees."""
+    block = ctypes.POINTER(LaneBlock)
+    for name, argtypes, restype in (
+        ("lanes_block_size", (), ctypes.c_int64),
+        ("lanes_costs", (block,), None),
+        ("lanes_errors", (block,), None),
+        ("lanes_deltas", (block,), None),
+        ("lanes_worst", (block, ctypes.c_int64), None),
+        ("lanes_best_swap", (block,), None),
+        ("lanes_apply", (block, ctypes.c_int64), ctypes.c_int64),
+    ):
+        function = getattr(lib, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    if lib.lanes_block_size() != ctypes.sizeof(LaneBlock):
+        raise OSError("lane_block layout differs between lanes.c and LaneBlock")
+
+
+def load_library(source: Path = SOURCE) -> Loaded:
+    """The library built from ``source``, building it if the cache lacks it."""
+    if not hasattr(os, "getuid"):
+        return Loaded(None, None, "no per-user cache on this platform")
+    try:
+        text = source.read_bytes()
+        digest = hashlib.sha256(text + " ".join(FLAGS).encode()).hexdigest()
+        target = _cache_dir() / f"lanes-{digest}.so"
+        if not target.exists():
+            error = _build(source, target)
+            if error:
+                return Loaded(None, None, error)
+        lib = ctypes.CDLL(str(target))
+        _bind(lib)
+    except OSError as err:
+        return Loaded(None, None, f"{type(err).__name__}: {err}")
+    return Loaded(lib, target, "")
+
+
+#: the outcome for this process, settled when ``repro.vector`` is imported
+LOADED = load_library()
+
+
+def kernel_backend() -> KernelBackend:
+    """``("compiled", "")``, or ``("numpy", why the build is not there)``."""
+    if LOADED.lib is not None:
+        return KernelBackend("compiled", "")
+    return KernelBackend("numpy", LOADED.error)

@@ -9,7 +9,7 @@ returned errors and swap deltas are bit-identical to the scalar
 which is what makes the vector engine's trajectories reproducible against
 the scalar engine (see ``tests/vector``).
 
-Design rule (what is kept between rounds): an adapter may carry derived
+Design rule (what is kept between rounds): a NumPy adapter may carry derived
 state across rounds only where one swap changes O(1) of it and the update
 batches across lanes.  ``VectorMagicSquare`` does — a narrow copy of the
 configuration matrix and the ``2n + 2`` line sums per lane follow every swap
@@ -22,8 +22,19 @@ their ``begin_round`` rebuilds everything, once per lock-step round.  No
 adapter outlives a change of width: when a lane retires the engine builds a
 fresh adapter for the lanes that remain.
 
-Batched swap-delta kernels
---------------------------
+Compiled kernels
+----------------
+:class:`CompiledLanes` is the same protocol over ``lanes.c``
+(:mod:`repro.vector.native`): where that library is loaded, a
+default-constructed engine runs magic-square, all-interval and Costas lanes
+on it — every family keeps its state incrementally there (a count table
+costs nothing to follow one swap at a time in C), in 64-bit integers, so
+there is no ``MAX_N``.  The NumPy adapters below stay as they were: they
+are the lane path wherever the library is not loaded, and the reference it
+is tested against.  :func:`lane_kernel` says which a problem gets.
+
+Batched swap-delta kernels (NumPy)
+----------------------------------
 ``magic_square``
     the four line families (rows, columns, diagonal, anti-diagonal) stacked
     on one axis: a ``(4, k, A)`` block holds, per family, the sum of the
@@ -47,7 +58,7 @@ Batched swap-delta kernels
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Type
+from typing import Any, Callable, Optional, Type
 
 import numpy as np
 
@@ -55,6 +66,7 @@ from repro.problems.all_interval import AllIntervalProblem
 from repro.problems.base import Problem
 from repro.problems.costas import CostasProblem
 from repro.problems.magic_square import MagicSquareProblem
+from repro.vector import native
 
 __all__ = [
     "VectorProblem",
@@ -62,8 +74,10 @@ __all__ = [
     "VectorCostas",
     "VectorAllInterval",
     "ScalarLaneFallback",
+    "CompiledLanes",
     "register_vector_adapter",
     "as_vector_problem",
+    "lane_kernel",
     "has_batched_kernels",
 ]
 
@@ -562,6 +576,183 @@ class ScalarLaneFallback(VectorProblem):
 
 
 # ----------------------------------------------------------------------
+# compiled kernels
+# ----------------------------------------------------------------------
+#: problem type -> (kind, order, state_size) of ``lanes.c`` for an instance
+_COMPILED: dict[Type[Problem], Callable[[Problem], tuple[int, int, int]]] = {
+    MagicSquareProblem: lambda p: (0, p.order, 2 * p.order + 2),
+    AllIntervalProblem: lambda p: (1, 0, p.size),
+    CostasProblem: lambda p: (2, 0, p.size * (2 * p.size - 1)),
+}
+
+
+def _int64_pointer(array: np.ndarray) -> Any:
+    return array.ctypes.data_as(native.INT64_P)
+
+
+def _double_pointer(array: np.ndarray) -> Any:
+    return array.ctypes.data_as(native.DOUBLE_P)
+
+
+def _require(array: np.ndarray, dtype: type, shape: tuple) -> None:
+    """What ``lanes.c`` assumes of an array it is handed a pointer into."""
+    if (
+        array.dtype != dtype
+        or array.shape != shape
+        or not array.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"compiled lanes need a C-contiguous {np.dtype(dtype)} array "
+            f"of shape {shape}, got {array.dtype} {array.shape}"
+        )
+
+
+class CompiledLanes(VectorProblem):
+    """The kernel set of ``lanes.c`` at one batch width.
+
+    It owns what the C side works in — every lane's derived state, the
+    ``(k, n)`` scratch, the hand-off vectors — and describes all of it,
+    with the engine's own arrays once :meth:`bind` has been given them, in
+    one :class:`~repro.vector.native.LaneBlock`.  The engine runs a whole
+    round as three calls on that block (``VectorWalkEngine._compiled_round``)
+    and the state follows its swaps inside the third; a row rewritten from
+    Python is reported through :meth:`notify_rows` and rebuilt before it is
+    next read.
+
+    The class also answers the :class:`VectorProblem` protocol, one kernel
+    per call, which is how ``tests/vector/test_kernels.py`` holds the C
+    kernels to the scalar protocol.  There is no mask, so no order limit:
+    all arithmetic is 64-bit.
+    """
+
+    delta_sentinel = int(np.iinfo(np.int64).max)
+
+    def __init__(self, problem: Problem, k: int) -> None:
+        super().__init__(problem, k)
+        lib = native.LOADED.lib
+        if lib is None:
+            raise ValueError(
+                f"no compiled lane kernels: {native.LOADED.error}"
+            )
+        kind, order, state_size = _COMPILED[type(problem)](problem)
+        n = self.n
+        self.lib = lib
+        self._state = np.zeros((k, state_size), dtype=np.int64)
+        self._dirty = np.ones(k, dtype=np.int64)
+        self._err, self._deltas, self._cand = np.zeros(
+            (3, k, n), dtype=np.int64
+        )
+        #: out of a call, per lane: candidates tied for the extremum; is
+        #: the lane at a local minimum
+        self.pending = np.zeros((2, k), dtype=np.int64)
+        #: into the next call, per lane: the tie's draw; was the
+        #: local-minimum move accepted
+        self.answers = np.zeros((2, k), dtype=np.int64)
+        #: after ``lanes_apply``: why a lane needs a partial reset (0: none)
+        self._i_sel, self._delta, self.resets = np.zeros(
+            (3, k), dtype=np.int64
+        )
+        self.block = native.LaneBlock(
+            kind=kind, m=k, n=n, order=order, state_size=state_size,
+            state=_int64_pointer(self._state),
+            dirty=_int64_pointer(self._dirty),
+            err=_int64_pointer(self._err),
+            deltas=_int64_pointer(self._deltas),
+            cand=_int64_pointer(self._cand),
+            count=_int64_pointer(self.pending[0]),
+            local_min=_int64_pointer(self.pending[1]),
+            draw=_int64_pointer(self.answers[0]),
+            accept=_int64_pointer(self.answers[1]),
+            i_sel=_int64_pointer(self._i_sel),
+            delta=_int64_pointer(self._delta),
+            resets=_int64_pointer(self.resets),
+        )
+        #: the arrays the block points into that this object does not own
+        self._bound: tuple = ()
+        self._configs: Optional[np.ndarray] = None
+
+    def bind(
+        self,
+        configs: np.ndarray,
+        marks: np.ndarray,
+        cost: np.ndarray,
+        best_cost: np.ndarray,
+        best_configs: np.ndarray,
+        stats: np.ndarray,
+        config: Any,
+    ) -> None:
+        """Point the block at the engine's arrays and solver parameters."""
+        k, n = self.k, self.n
+        for array in (configs, marks, best_configs):
+            _require(array, np.int64, (k, n))
+        _require(stats, np.int64, (7, k))
+        for array in (cost, best_cost):
+            _require(array, np.float64, (k,))
+        self._bound = (configs, marks, cost, best_cost, best_configs, stats)
+        self._configs = configs
+        block = self.block
+        block.configs = _int64_pointer(configs)
+        block.marks = _int64_pointer(marks)
+        block.best_configs = _int64_pointer(best_configs)
+        block.stats = _int64_pointer(stats)
+        block.cost = _double_pointer(cost)
+        block.best_cost = _double_pointer(best_cost)
+        block.plateau_is_local_min = bool(config.plateau_is_local_min)
+        block.freeze_swap = int(config.freeze_swap)
+        block.freeze_loc_min = int(config.freeze_loc_min)
+        block.reset_limit = int(config.reset_limit)
+
+    # -- the VectorProblem protocol, one kernel per call ---------------
+    def begin_round(self, configs: np.ndarray) -> None:
+        if configs is not self._configs:
+            _require(configs, np.int64, (self.k, self.n))
+            self._configs = configs
+            self.block.configs = _int64_pointer(configs)
+
+    def errors(self) -> np.ndarray:
+        if self._configs is None:
+            raise ValueError("begin_round() comes first")
+        self.lib.lanes_errors(self.block)
+        return self._err
+
+    def deltas(self, i_sel: np.ndarray) -> np.ndarray:
+        if self._configs is None:
+            raise ValueError("begin_round() comes first")
+        if i_sel.min() < 0 or i_sel.max() >= self.n:
+            raise ValueError("selected variable out of range")
+        self._i_sel[:] = i_sel
+        self.lib.lanes_deltas(self.block)
+        return self._deltas
+
+    def notify_swaps(
+        self,
+        lanes: np.ndarray,
+        ii: np.ndarray,
+        jj: np.ndarray,
+        flat_i: np.ndarray,
+        flat_j: np.ndarray,
+        configs: np.ndarray,
+    ) -> None:
+        # only the fused round (lanes_apply) follows a swap incrementally
+        self._dirty[lanes] = 1
+
+    def notify_rows(self, lanes: "list[int]", configs: np.ndarray) -> None:
+        self._dirty[lanes] = 1
+
+    def lane_costs(self, configs: np.ndarray) -> np.ndarray:
+        _require(configs, np.int64, (self.k, self.n))
+        costs = np.empty(self.k, dtype=np.float64)
+        block = self.block
+        held = block.configs, block.cost
+        block.configs, block.cost = _int64_pointer(configs), _double_pointer(costs)
+        self.lib.lanes_costs(block)
+        block.configs, block.cost = held
+        # the state now describes ``configs``, whatever matrix is bound
+        self._dirty[:] = 1
+        return costs
+
+
+# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 _ADAPTERS: dict[Type[Problem], Type[VectorProblem]] = {}
@@ -592,13 +783,28 @@ def _batched_adapter(problem: Problem) -> Optional[Type[VectorProblem]]:
     return None
 
 
+def lane_kernel(problem: Problem) -> str:
+    """What a lane batch of ``problem`` runs on in this process:
+    ``"compiled"`` (``lanes.c`` is loaded and has the problem's kernels, at
+    any order), ``"numpy"`` (a registered adapter's fast path fits), else
+    ``"scalar"`` (the per-lane fallback: lanes buy nothing)."""
+    if native.LOADED.lib is not None and type(problem) in _COMPILED:
+        return "compiled"
+    if _batched_adapter(problem) is not None:
+        return "numpy"
+    return "scalar"
+
+
 def has_batched_kernels(problem: Problem) -> bool:
-    """True when ``as_vector_problem`` returns a real batched adapter."""
-    return _batched_adapter(problem) is not None
+    """True when a lane batch of ``problem`` runs on batched kernels,
+    compiled or NumPy — answered without building anything."""
+    return lane_kernel(problem) != "scalar"
 
 
 def as_vector_problem(problem: Problem, k: int) -> VectorProblem:
-    """Best available adapter: a registered batched kernel set when the
+    """Best NumPy adapter: a registered batched kernel set when the
     instance fits its fast path (e.g. small enough for machine-word
-    masks), otherwise the scalar-lane fallback."""
+    masks), otherwise the scalar-lane fallback.  These run the engine's
+    NumPy round — the only lane path where ``lanes.c`` is not loaded, and
+    the reference the compiled kernels are tested against."""
     return (_batched_adapter(problem) or ScalarLaneFallback)(problem, k)

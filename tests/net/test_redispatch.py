@@ -54,13 +54,14 @@ class TestNodeDeath:
         )
         with LocalCluster(n_nodes=2, chaos=plan, **FAST_DETECT) as cluster:
             client = cluster.client()
-            problem = make_problem("magic_square", n=16)
+            problem = make_problem("magic_square", n=24)
             # a node's two walks advance together as lanes, so the job
-            # lasts as long as its *fastest* walk: under seed 23 every walk
-            # needs 42k+ iterations (a few seconds of two-lane rounds),
-            # which outlives the kill at 0.5s *and* its detection a
-            # heartbeat timeout later with room to spare
-            handle = client.submit(problem, 4, seed=23, config=CFG)
+            # lasts as long as its *fastest* walk: under seed 5 every walk
+            # needs 260k+ iterations (≈ 6 s of compiled two-lane rounds,
+            # longer on the NumPy round), which outlives the kill at 0.5s
+            # *and* its detection a heartbeat timeout later with room to
+            # spare
+            handle = client.submit(problem, 4, seed=5, config=CFG)
             result = handle.result(timeout=300)
             assert result.status is JobStatus.SOLVED
             assert problem.is_solution(result.config)

@@ -30,12 +30,13 @@ SCIPY_MODULES = (
 )
 
 
-def _child(code: str, cwd: Path | None = None):
+def _child(code: str, cwd: Path | None = None, **extra_env: str):
     """Run ``code`` in a fresh interpreter; the JSON on its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    env.update(extra_env)
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + code],
         capture_output=True,
@@ -152,6 +153,77 @@ def test_pool_workers_map_no_scipy():
         "print(json.dumps({'workers': workers, 'scipy_lines': lines}))"
     )
     assert report == {"workers": 2, "scipy_lines": []}
+
+
+# ----------------------------------------------------------------------
+# the compiled lane kernels: built and mapped by ``import repro.vector``,
+# so by everything that serves lanes and by nothing that does not
+# ----------------------------------------------------------------------
+#: child prelude: the ``lanes-<hash>.so`` files a process has mapped
+MAPPED = (
+    "def mapped(pid):\n"
+    "    with open(f'/proc/{pid}/maps') as maps:\n"
+    "        return sorted({l.split()[-1] for l in maps if '/lanes-' in l})\n"
+)
+
+needs_proc_maps = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
+)
+
+
+@needs_proc_maps
+def test_plain_imports_and_verbs_start_no_compiler(tmp_path):
+    """``import repro``, ``repro.cli`` and ``repro problems`` do not import
+    ``repro.vector``: with an empty cache and a compiler that leaves a mark
+    when run, no mark, no cache, nothing mapped."""
+    mark = tmp_path / "compiler-ran"
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"#!/bin/sh\ntouch {mark}\nexit 1\n")
+    compiler.chmod(0o755)
+    cache = tmp_path / "cache"
+    report = _child(
+        MAPPED + "import repro, repro.cli\n"
+        "from repro.cli import main\n"
+        'assert main(["problems"]) == 0\n'
+        "print(json.dumps({'vector': 'repro.vector' in sys.modules,\n"
+        "                  'mapped': mapped('self')}))",
+        CC=str(compiler),
+        XDG_CACHE_HOME=str(cache),
+    )
+    assert report == {"vector": False, "mapped": []}
+    assert not mark.exists() and not cache.exists()
+    # the mark works: the same child importing the lane engine leaves it
+    _child(
+        "import warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import repro.vector\n"
+        "print(json.dumps(None))",
+        CC=str(compiler),
+        XDG_CACHE_HOME=str(cache),
+    )
+    assert mark.exists()
+
+
+@needs_proc_maps
+def test_forked_pool_workers_map_the_parents_library():
+    """``import repro.service`` loads ``lanes.c`` before the pool forks: a
+    worker inherits the mapping and never builds or loads anything."""
+    report = _child(
+        MAPPED + "import repro.service\n"
+        "from repro.service.pool import WorkerPool\n"
+        "from repro.vector import native\n"
+        "pool = WorkerPool(2)\n"
+        "try:\n"
+        "    workers = [mapped(pid) for pid in pool.worker_pids()]\n"
+        "finally:\n"
+        "    pool.shutdown()\n"
+        "library = str(native.LOADED.path) if native.LOADED.path else None\n"
+        "print(json.dumps({'library': library, 'workers': workers,\n"
+        "                  'parent': mapped('self')}))"
+    )
+    expected = [report["library"]] if report["library"] else []
+    assert report["parent"] == expected
+    assert report["workers"] == [expected, expected]
 
 
 # ----------------------------------------------------------------------

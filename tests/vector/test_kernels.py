@@ -8,14 +8,30 @@ for *every* selected variable, ``errors()[l]`` must equal
 after the engine's mutations (swaps, rewritten rows, a retirement).  The
 batched tie-breaking must make the picks, and only the draws, of
 :mod:`repro.core.selection` on the same generator state.
+
+The compiled kernels of ``lanes.c`` answer the same protocol through
+:class:`~repro.vector.problems.CompiledLanes` and are held to the same
+scalar reference and, entry for entry, to their NumPy adapter; the state
+their fused round keeps incrementally must equal a rebuild after every
+round of a run that swaps, resets and restarts; and past the NumPy masks'
+limits (costas 34, all-interval 70, and a 34-wide magic square for good
+measure) compiled lanes must still be the scalar walks.  Those tests skip
+on a host where ``lanes.c`` could not be built.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core.config import AdaptiveSearchConfig
 from repro.core.selection import argmin_random_tie, masked_argmax_random_tie
+from repro.core.solver import AdaptiveSearch
 from repro.problems import make_problem
+from repro.vector import kernel_backend
+from repro.vector.engine import VectorWalkEngine
 from repro.vector.problems import (
+    CompiledLanes,
     ScalarLaneFallback,
     VectorAllInterval,
     VectorCostas,
@@ -23,8 +39,15 @@ from repro.vector.problems import (
     VectorProblem,
     as_vector_problem,
     has_batched_kernels,
+    lane_kernel,
 )
 from repro.vector.selection import argmin_lanes, masked_argmax_lanes
+from tests.vector.test_equivalence import assert_walks_equal
+
+COMPILED = kernel_backend().name == "compiled"
+needs_compiled = pytest.mark.skipif(
+    not COMPILED, reason=f"lanes.c is not loaded: {kernel_backend().error}"
+)
 
 ADAPTER_CASES = [
     ("magic_square", 3),
@@ -155,6 +178,8 @@ class TestAdaptersAgainstScalarProtocol:
 
 
 class TestFitCheck:
+    """NumPy adapters: a mask limit, as before.  Compiled: any order."""
+
     @pytest.mark.parametrize(
         "family,adapter",
         [("costas", VectorCostas), ("all_interval", VectorAllInterval)],
@@ -164,10 +189,16 @@ class TestFitCheck:
         assert limit == {"costas": 32, "all_interval": 62}[family]
         for n, fits in ((limit, True), (limit + 1, False)):
             problem = make_problem(family, n=n)
-            assert has_batched_kernels(problem) is fits
+            assert adapter.fits(problem) is fits
             vp = as_vector_problem(problem, 2)
             assert vp.batched is fits
             assert isinstance(vp, adapter if fits else ScalarLaneFallback)
+            # a lane batch runs on lanes.c where it is loaded, whatever
+            # the order; without it the NumPy adapter's limit is the limit
+            assert has_batched_kernels(problem) is (COMPILED or fits)
+            assert lane_kernel(problem) == (
+                "compiled" if COMPILED else "numpy" if fits else "scalar"
+            )
         # the largest instance that fits is exact, not merely accepted
         problem = make_problem(family, n=limit)
         assert_kernels_match(
@@ -181,20 +212,162 @@ class TestFitCheck:
         def refuse(self, problem, k):
             raise AssertionError("has_batched_kernels built an adapter")
 
-        for adapter in (VectorMagicSquare, VectorCostas, VectorAllInterval):
+        for adapter in (
+            VectorMagicSquare, VectorCostas, VectorAllInterval,
+            ScalarLaneFallback, CompiledLanes,
+        ):
             monkeypatch.setattr(adapter, "__init__", refuse)
-        monkeypatch.setattr(ScalarLaneFallback, "__init__", refuse)
         assert has_batched_kernels(make_problem("magic_square", n=5))
         assert has_batched_kernels(make_problem("costas", n=32))
-        assert not has_batched_kernels(make_problem("costas", n=33))
+        assert has_batched_kernels(make_problem("costas", n=33)) is COMPILED
         assert has_batched_kernels(make_problem("all_interval", n=62))
-        assert not has_batched_kernels(make_problem("all_interval", n=63))
+        assert has_batched_kernels(make_problem("all_interval", n=63)) is COMPILED
         assert not has_batched_kernels(make_problem("queens", n=8))
+        assert lane_kernel(make_problem("queens", n=8)) == "scalar"
 
     def test_oversized_instance_cannot_be_forced_onto_the_kernels(self):
         with pytest.raises(ValueError, match="n <= 32"):
             VectorCostas(make_problem("costas", n=33), 2)
         assert VectorProblem.fits(make_problem("queens", n=8))
+
+
+# past the NumPy masks (MAX_N 32 / 62), and a magic square on int32 sums
+PAST_THE_LIMITS = [("costas", 34), ("all_interval", 70), ("magic_square", 34)]
+
+
+@needs_compiled
+class TestCompiledKernels:
+    """``lanes.c`` one kernel at a time, through the adapter protocol."""
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("family,n", ADAPTER_CASES)
+    def test_scalar_protocol_and_numpy_adapter_entry_for_entry(
+        self, family, n, k
+    ):
+        problem = make_problem(family, n=n)
+        configs = random_configs(problem, k, seed=3 * n + k)
+        compiled = CompiledLanes(problem, k)
+        assert_kernels_match(compiled, problem, configs)
+        adapter = as_vector_problem(problem, k)
+        assert adapter.batched
+        adapter.begin_round(configs)
+        compiled.begin_round(configs)
+        assert np.array_equal(compiled.errors(), adapter.errors())
+        for i in range(problem.size):
+            i_sel = (i + np.arange(k)) % problem.size
+            assert np.array_equal(compiled.deltas(i_sel), adapter.deltas(i_sel))
+        assert np.array_equal(
+            compiled.lane_costs(configs), adapter.lane_costs(configs)
+        )
+
+    @pytest.mark.parametrize("family,n", ADAPTER_CASES + PAST_THE_LIMITS)
+    def test_after_swaps_and_rewritten_rows(self, family, n):
+        problem = make_problem(family, n=n)
+        k, size = 4, problem.size
+        configs = random_configs(problem, k, seed=11 * n)
+        vp = CompiledLanes(problem, k)
+        some = None if size <= 64 else [0, 1, size // 2, size - 2, size - 1]
+        assert_kernels_match(vp, problem, configs, some)
+        rng = np.random.default_rng(n)
+        ii = rng.integers(0, size, 3)
+        jj = (ii + 1 + rng.integers(0, size - 1, 3)) % size
+        swap_and_notify(vp, configs, [0, 1, 3], ii, jj)
+        # neighbours, and the two ends: the difference between them flips
+        swap_and_notify(vp, configs, [2], [0], [1])
+        assert_kernels_match(vp, problem, configs, some)
+        swap_and_notify(vp, configs, [2], [size - 1], [0])
+        configs[1] = problem.random_configuration(rng)
+        vp.notify_rows([1], configs)
+        assert_kernels_match(vp, problem, configs, some)
+        costs = vp.lane_costs(configs)
+        assert costs.tolist() == [problem.cost(row) for row in configs]
+
+    def test_rejects_arrays_it_cannot_read(self):
+        problem = make_problem("costas", n=8)
+        vp = CompiledLanes(problem, 2)
+        configs = random_configs(problem, 2, seed=1)
+        for bad in (
+            configs.astype(np.int32), configs[:, ::-1], configs[:1],
+            np.asfortranarray(configs),
+        ):
+            with pytest.raises(ValueError, match="C-contiguous int64"):
+                vp.begin_round(bad)
+        vp.begin_round(configs)
+        with pytest.raises(ValueError, match="out of range"):
+            vp.deltas(np.array([0, 8]))
+
+
+CHURN = AdaptiveSearchConfig(
+    reset_limit=1, restart_limit=60, freeze_swap=2,
+    plateau_is_local_min=False, max_iterations=400, max_restarts=3,
+)
+
+
+@needs_compiled
+class TestCompiledRound:
+    @pytest.mark.parametrize(
+        "family,n", [("magic_square", 5), ("costas", 13), ("all_interval", 12)]
+    )
+    @pytest.mark.parametrize(
+        "config", [AdaptiveSearchConfig(max_iterations=300), CHURN],
+        ids=["defaults", "churn"],
+    )
+    def test_incremental_state_is_the_rebuilt_state(self, family, n, config):
+        """After every round of a run that swaps, resets, restarts and
+        retires lanes: the state ``lanes_apply`` kept equals a rebuild from
+        the configurations (a lane flagged dirty is rebuilt before it is
+        next read), and the cost it kept is the problem's cost."""
+        problem = make_problem(family, n=n)
+        checked = []
+
+        def check(engine):
+            vp = engine.vp
+            assert isinstance(vp, CompiledLanes)
+            configs = engine._configs
+            kept, dirty = vp._state.copy(), vp._dirty.astype(bool)
+            fresh = CompiledLanes(problem, len(configs))
+            costs = fresh.lane_costs(configs)
+            assert np.array_equal(kept[~dirty], fresh._state[~dirty])
+            assert np.array_equal(costs, engine._cost)
+            checked.append(int(dirty.sum()))
+
+        engine = VectorWalkEngine(
+            problem, 5, config, seeds=[1, 2, 3, 4, 5], round_callback=check
+        )
+        outcome = engine.run()
+        assert len(checked) == engine.rounds > 0
+        if config is CHURN:  # the rewritten-row paths did run
+            assert sum(w.stats.resets for w in outcome.walks) > 0
+            assert sum(w.stats.restarts for w in outcome.walks) > 0
+            assert max(checked) > 0
+
+    @pytest.mark.parametrize("family,n", PAST_THE_LIMITS)
+    def test_lanes_are_scalar_walks_past_the_mask_limits(self, family, n):
+        problem = make_problem(family, n=n)
+        assert lane_kernel(problem) == "compiled"
+        config = dataclasses.replace(CHURN, max_iterations=120)
+        seeds = [61, 62, 63]
+        engine = VectorWalkEngine(problem, len(seeds), config, seeds=seeds)
+        assert isinstance(engine.vp, CompiledLanes)
+        walks = engine.run().walks
+        for lane, seed in enumerate(seeds):
+            scalar = AdaptiveSearch(config).solve(
+                make_problem(family, n=n), seed
+            )
+            assert_walks_equal(scalar, walks[lane], f"{family}-{n} lane={lane}")
+
+    def test_an_explicit_adapter_pins_the_numpy_round(self):
+        problem = make_problem("costas", n=8)
+        config = AdaptiveSearchConfig(max_iterations=200)
+        pinned = VectorWalkEngine(
+            problem, 3, config, seeds=[7, 8, 9],
+            vector_problem=as_vector_problem(problem, 3),
+        )
+        default = VectorWalkEngine(problem, 3, config, seeds=[7, 8, 9])
+        assert isinstance(pinned.vp, VectorCostas)
+        assert isinstance(default.vp, CompiledLanes)
+        for a, b in zip(pinned.run().walks, default.run().walks):
+            assert_walks_equal(a, b, "numpy round vs compiled round")
 
 
 def lane_generators(k, seed):
