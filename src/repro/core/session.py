@@ -4,7 +4,8 @@
 whose iterations are driven externally in chunks.  It exists for three
 consumers:
 
-- :class:`repro.core.solver.AdaptiveSearch` — the run-to-completion wrapper;
+- :class:`repro.core.solver.AdaptiveSearch` — ``solve`` is :meth:`run` here
+  wherever no compiled lane runs the walk, and its witness where one does;
 - :mod:`repro.parallel.cooperative` — the paper's *future work*: dependent
   multi-walks that interleave many sessions and exchange elite
   configurations between chunks;
@@ -24,8 +25,8 @@ import numpy as np
 
 from repro.core.callbacks import CallbackList, IterationInfo
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.result import SolveStats
-from repro.core.termination import TerminationReason
+from repro.core.result import SolveResult, SolveStats
+from repro.core.termination import Budget, TerminationReason
 from repro.errors import SolverError
 from repro.problems.base import Problem
 from repro.util.rng import SeedLike, as_generator
@@ -55,6 +56,12 @@ class AdaptiveSearchSession:
     accumulates the time actually spent stepping, so interleaved sessions
     measure their own compute correctly.
     """
+
+    solver_name = "adaptive_search"
+
+    #: iterations per step between budget checks in :meth:`run` (matches
+    #: the default time-poll granularity of :class:`Budget`)
+    _CHUNK = 64
 
     def __init__(
         self,
@@ -230,6 +237,39 @@ class AdaptiveSearchSession:
                     )
                 ):
                     return self._finish(TerminationReason.CANCELLED)
+
+    def run(self) -> SolveResult:
+        """Step until solved or the configuration's iteration / time budget
+        is exhausted, and package the walk."""
+        cfg = self.config
+        stats = self.stats
+        budget = Budget.from_limits(cfg.max_iterations, cfg.time_limit)
+        reason: TerminationReason | None = None
+        while reason is None:
+            exhausted = budget.exhausted(stats.iterations)
+            if exhausted is not None:
+                # a solved/finished session takes precedence over budgets
+                reason = self.step(0) or exhausted
+                break
+            remaining = cfg.max_iterations - stats.iterations
+            chunk = self._CHUNK if math.isinf(remaining) else int(
+                min(self._CHUNK, remaining)
+            )
+            reason = self.step(chunk)
+
+        stats.wall_time = self.elapsed
+        assert self.best_config is not None
+        solved = reason is TerminationReason.SOLVED
+        self.callbacks.on_finish(solved, self.best_cost)
+        return SolveResult(
+            solved=solved,
+            config=self.best_config,
+            cost=self.best_cost,
+            reason=reason,
+            stats=stats,
+            problem_name=self.problem.name,
+            solver_name=self.solver_name,
+        )
 
     # ------------------------------------------------------------------
     def inject_configuration(

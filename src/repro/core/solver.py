@@ -16,10 +16,17 @@ One iteration of the method:
 5. on top of this, classic restarts: after ``restart_limit`` iterations the
    walk re-randomizes completely (up to ``max_restarts`` times).
 
-The loop itself lives in :class:`repro.core.session.AdaptiveSearchSession`
-(the resumable form used by the cooperative multi-walk runtime and by
-checkpointing); this class is the run-to-completion wrapper that adds
-iteration/time budgets and packages a :class:`SolveResult`.
+The loop exists twice, as one walk bit for bit.  Where the compiled lane
+kernels are loaded and cover the problem
+(:func:`repro.vector.lane_kernel` answers ``"compiled"``: magic-square,
+all-interval and Costas on a host with a C compiler) :meth:`AdaptiveSearch.solve`
+runs the walk as a one-lane batch of
+:class:`repro.vector.engine.VectorWalkEngine`; everywhere else — the other
+families, every declarative model, a host without the library — it runs
+:class:`repro.core.session.AdaptiveSearchSession`, the resumable form the
+cooperative runtime and checkpointing also step, and the independent witness
+the lane is tested against (``AdaptiveSearch(cfg).session(problem,
+seed).run()``).  Which one runs is observed, never chosen.
 
 This is the engine the paper runs in ``k`` independent copies; see
 :mod:`repro.parallel` for the multi-walk runtime.
@@ -27,7 +34,6 @@ This is the engine the paper runs in ``k`` independent copies; see
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +41,6 @@ import numpy as np
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.result import SolveResult
 from repro.core.session import AdaptiveSearchSession
-from repro.core.termination import Budget, TerminationReason
 from repro.problems.base import Problem
 from repro.util.rng import SeedLike
 
@@ -58,11 +63,7 @@ class AdaptiveSearch:
         set to False to run the raw configuration exactly as given.
     """
 
-    name = "adaptive_search"
-
-    #: iterations per session step between budget checks (matches the
-    #: default time-poll granularity of :class:`Budget`)
-    _CHUNK = 64
+    name = AdaptiveSearchSession.solver_name
 
     def __init__(
         self,
@@ -110,49 +111,27 @@ class AdaptiveSearch:
         ``initial_configuration`` pins the first start (restarts still
         re-randomize); by default the first start is random too.
         """
+        # here, not at module level: ``import repro`` starts no compiler
+        # and maps no library
+        from repro.vector import VectorWalkEngine, lane_kernel
+
         cfg = self.effective_config(problem)
-        session = AdaptiveSearchSession(
+        if lane_kernel(problem) == "compiled":
+            engine = VectorWalkEngine(
+                problem,
+                1,
+                cfg,
+                seeds=[seed],
+                use_problem_defaults=False,
+                callbacks=[callbacks],
+                initial_configurations=[initial_configuration],
+                solver_name=self.name,
+            )
+            return engine.run().walks[0]
+        return AdaptiveSearchSession(
             problem,
             cfg,
             seed,
             callbacks=callbacks,
             initial_configuration=initial_configuration,
-        )
-        budget = Budget.from_limits(cfg.max_iterations, cfg.time_limit)
-
-        reason: TerminationReason | None = None
-        while reason is None:
-            exhausted = budget.exhausted(session.stats.iterations)
-            if exhausted is not None:
-                # a solved/finished session takes precedence over budgets
-                reason = session.step(0) or exhausted
-                break
-            remaining = cfg.max_iterations - session.stats.iterations
-            chunk = self._CHUNK if math.isinf(remaining) else int(
-                min(self._CHUNK, remaining)
-            )
-            reason = session.step(chunk)
-
-        return self._package(session, reason, problem)
-
-    # ------------------------------------------------------------------
-    def _package(
-        self,
-        session: AdaptiveSearchSession,
-        reason: TerminationReason,
-        problem: Problem,
-    ) -> SolveResult:
-        stats = session.stats
-        stats.wall_time = session.elapsed
-        assert session.best_config is not None
-        solved = reason is TerminationReason.SOLVED
-        session.callbacks.on_finish(solved, session.best_cost)
-        return SolveResult(
-            solved=solved,
-            config=session.best_config,
-            cost=session.best_cost,
-            reason=reason,
-            stats=stats,
-            problem_name=problem.name,
-            solver_name=self.name,
-        )
+        ).run()

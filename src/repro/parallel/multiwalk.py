@@ -344,6 +344,10 @@ class MultiWalkSolver:
         seed: SeedLike,
     ) -> ParallelResult:
         """One OS process per walk; the first finisher cancels the rest."""
+        # what ``solve`` runs a walk on is loaded (on a cold cache: built)
+        # once, here; a forked walker inherits the mapping
+        import repro.vector  # noqa: F401
+
         milestone_every = get_recorder().milestone_every if trace_id else 0
         return self._solve_in_processes(
             [

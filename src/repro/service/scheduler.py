@@ -10,7 +10,9 @@ one shared :class:`~repro.service.pool.WorkerPool`:
   ``min(n_walks, n_workers)`` slices, so every worker advances its whole
   share of the job at once as the lanes of one
   :class:`~repro.vector.engine.VectorWalkEngine`; any other problem gets
-  one-walk slices on the scalar engine.  The width is a function of the
+  one-walk slices, each a plain ``AdaptiveSearch.solve`` (one compiled
+  lane where ``lanes.c`` covers the problem, the scalar session where it
+  does not).  The width is a function of the
   job, the pool and the problem, all of which the scheduler sees: there is
   nothing to configure;
 - tasks are dispatched to idle workers in priority order, interleaved by
@@ -176,7 +178,7 @@ class _JobState:
         )
         #: the pool tasks of this job, each a tuple of walk ids
         self.slices: list[tuple[int, ...]] = []
-        #: what a multi-walk slice of this job runs on (``lane_kernel``)
+        #: what a lane batch of this job's problem runs on (``lane_kernel``)
         self.kernel = "scalar"
         self.submitted_at = submitted_at
         self.first_dispatch_at: float | None = None
@@ -564,14 +566,13 @@ class SolverService:
             state.token = token
             state.problem_id = pool.register_problem(state.job.problem)
             walk_ids = list(state.seeds)
-            # one scalar walk per task, unless there are more walks than
-            # workers and the problem has batched kernels: then one lane
-            # batch per worker
+            # one walk per task, unless there are more walks than workers
+            # and the problem has batched kernels: then one lane batch per
+            # worker
             n_slices = len(walk_ids)
-            if n_slices > self.n_workers:
-                state.kernel = lane_kernel(state.job.problem)
-                if state.kernel != "scalar":
-                    n_slices = self.n_workers
+            state.kernel = lane_kernel(state.job.problem)
+            if n_slices > self.n_workers and state.kernel != "scalar":
+                n_slices = self.n_workers
             state.slices = [
                 tuple(walk_ids[i] for i in indices)
                 for indices in partition_walks(len(walk_ids), n_slices)
@@ -640,6 +641,11 @@ class SolverService:
                 state.first_dispatch_at = now
             self.metrics.record_dispatch()
             if recorder.enabled:
+                # a one-walk slice is ``AdaptiveSearch.solve``: one compiled
+                # lane where there is one, else the session (no lane engine)
+                lanes, kernel = len(walk_ids), state.kernel
+                if lanes == 1 and kernel != "compiled":
+                    lanes, kernel = 0, "scalar"
                 recorder.emit(
                     JobDispatch(
                         trace_id=ctx.trace_id if ctx is not None else "",
@@ -647,8 +653,8 @@ class SolverService:
                         walk_id=walk_ids[0],
                         worker=worker_id,
                         walk_ids=walk_ids,
-                        lanes=len(walk_ids) if len(walk_ids) > 1 else 0,
-                        kernel=state.kernel if len(walk_ids) > 1 else "scalar",
+                        lanes=lanes,
+                        kernel=kernel,
                     )
                 )
 

@@ -14,8 +14,9 @@ it blocks on its private inbox queue and reacts to three message kinds,
     the pool and rebuild the problem over read-only views of it (see
     :mod:`repro.parallel.shm`); the attachment is held until shutdown;
 ``("walk", task)``
-    run one *slice* of a job — one walk on the scalar engine, two or more
-    as lanes of one :class:`~repro.vector.engine.VectorWalkEngine` — and
+    run one *slice* of a job — one walk through ``AdaptiveSearch.solve``,
+    two or more as lanes of one
+    :class:`~repro.vector.engine.VectorWalkEngine` — and
     report ``("result", worker_id, job_id, walk_ids, payload)`` on the
     shared outbox, ``payload["walks"]`` holding one walk report per id;
 ``("shutdown",)``
@@ -79,7 +80,7 @@ class WalkTask:
     ``walk_ids[i]`` is the job-wide identity of the slice's ``i``-th walk
     and ``seeds[i]`` its exact stream, so a walk runs the trajectory it
     would run in any other slice, on any other executor.  A one-walk slice
-    runs on the scalar engine; a wider one runs as the lanes of one
+    is ``AdaptiveSearch.solve``; a wider one runs as the lanes of one
     :class:`~repro.vector.engine.VectorWalkEngine` (the scheduler only
     builds wide slices for problems with batched kernels).
 
@@ -176,7 +177,7 @@ def _run_walk(
     progress: Any,
     recorder: Any,
 ) -> list[SolveResult]:
-    """A one-walk slice: the scalar engine, callbacks per iteration."""
+    """A one-walk slice: ``AdaptiveSearch.solve``, callbacks per iteration."""
     callbacks: list[Any] = [
         GenerationCancelCallback(
             cancel_generations, task.slot, task.generation,

@@ -291,9 +291,10 @@ def _describe(record: dict[str, Any]) -> str:
         if record.get("lanes"):
             walks = ",".join(str(w) for w in record.get("walk_ids", ()))
             kernel = record.get("kernel")
+            lanes = record["lanes"]
             return (
                 f"dispatch job={record.get('job_id')} walks={walks} "
-                f"as {record['lanes']} lanes -> {where}"
+                f"as {lanes} lane{'s' if lanes > 1 else ''} -> {where}"
                 + (f" kernel={kernel}" if kernel else "")
             )
         return (

@@ -12,8 +12,8 @@ they are loaded and cover the problem, through a NumPy
 Equivalence contract
 --------------------
 Lane ``l`` seeded with ``seeds[l]`` produces the *bit-identical* trajectory
-(configurations, costs, marks, counters, RNG stream) of a scalar
-``AdaptiveSearch`` walk with the same seed and configuration:
+(configurations, costs, marks, counters, RNG stream) of an
+``AdaptiveSearchSession`` walk with the same seed and configuration:
 
 - all batched quantities (errors, deltas, costs) are exact integers,
   computed by kernels verified equal to the scalar protocol;
@@ -57,6 +57,18 @@ tested against.  Which one runs is observed
 (:func:`repro.vector.problems.lane_kernel`), never chosen: there is no
 argument, option or environment variable for it.
 
+One lane is ``AdaptiveSearch.solve``
+-----------------------------------
+:meth:`repro.core.solver.AdaptiveSearch.solve` runs a walk whose problem has
+compiled kernels as a one-lane batch of this engine, whatever its caller
+passed.  So a lane takes what a scalar walk takes and tells what it tells,
+per lane and at any width: observers (``callbacks=``, the protocol of
+:mod:`repro.core.callbacks` hook for hook, ``False`` from ``on_iteration``
+retiring that lane ``CANCELLED`` at that iteration), a pinned first start
+(``initial_configurations=``) and a caller's ready generator as the lane's
+stream (``seeds=``).  An engine nobody observes tests for observers once a
+round and does nothing else for them.
+
 First-finisher semantics
 ------------------------
 With ``first_wins=True`` (the multi-walk executor's mode) the batch stops
@@ -75,18 +87,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.callbacks import CallbackList, IterationInfo
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.result import SolveResult, SolveStats
 from repro.core.termination import TerminationReason
 from repro.csp.permutation import random_partial_reset
 from repro.errors import SolverError
-from repro.parallel.seeding import walk_seeds
 from repro.problems.base import Problem
-from repro.util.rng import SeedLike
+from repro.util.rng import SeedLike, as_generator
 from repro.util.timing import Stopwatch
 from repro.vector.problems import (
     CompiledLanes,
@@ -163,7 +176,10 @@ class VectorWalkEngine:
         base solver configuration; per-problem defaults merge exactly as in
         the scalar engine unless ``use_problem_defaults=False``.
     seeds:
-        explicit per-lane seed sequences (one per lane).  Pass the list from
+        explicit per-lane seeds (one per lane), each anything the scalar
+        engine takes: an int or a seed sequence gives the lane the draws it
+        gives a scalar walk, a ready :class:`numpy.random.Generator` *is*
+        the lane's stream.  Pass the list from
         :func:`repro.parallel.seeding.walk_seeds` so lane ``i`` equals walk
         ``i`` of every other executor; when omitted, ``seed`` is expanded
         through ``walk_seeds(k, seed)`` — the *same* derivation path — so
@@ -175,9 +191,19 @@ class VectorWalkEngine:
         called as ``round_callback(engine)`` after every round; returning
         ``False`` cancels all live lanes (cooperative cancellation for pool
         and hybrid workers).
+    callbacks:
+        per lane, the observers of that lane's walk (``None``: nobody) —
+        the scalar engine's protocol (:mod:`repro.core.callbacks`), hook
+        for hook and in a lane's own order: ``on_start``, then per
+        iteration ``on_reset`` before ``on_iteration``, ``on_restart``,
+        ``on_finish``; ``False`` from ``on_iteration`` retires that lane
+        ``CANCELLED`` at that iteration and no other.
+    initial_configurations:
+        per lane, a pinned first start (``None``: random, drawn from the
+        lane's stream); restarts still re-randomize.
+    solver_name:
+        the provenance the lanes' results carry.
     """
-
-    solver_name = "vector_adaptive_search"
 
     def __init__(
         self,
@@ -191,13 +217,22 @@ class VectorWalkEngine:
         first_wins: bool = False,
         round_callback: Optional[Callable[["VectorWalkEngine"], Optional[bool]]] = None,
         vector_problem: Optional[VectorProblem] = None,
+        callbacks: Optional[Sequence[Optional[Sequence[object]]]] = None,
+        initial_configurations: Optional[Sequence[Optional[np.ndarray]]] = None,
+        solver_name: str = "vector_adaptive_search",
     ) -> None:
         if k < 1:
             raise SolverError(f"lane count must be >= 1, got {k}")
-        if seeds is not None and len(seeds) != k:
-            raise SolverError(
-                f"got {len(seeds)} seeds for {k} lanes; pass one per lane"
-            )
+        for name, per_lane in (
+            ("seeds", seeds),
+            ("callbacks", callbacks),
+            ("initial_configurations", initial_configurations),
+        ):
+            if per_lane is not None and len(per_lane) != k:
+                raise SolverError(
+                    f"got {len(per_lane)} {name} for {k} lanes; pass one "
+                    "per lane"
+                )
         self.problem = problem
         self.k = int(k)
         self.n = problem.size
@@ -207,10 +242,19 @@ class VectorWalkEngine:
         self.config = base
         self.first_wins = first_wins
         self.round_callback = round_callback
+        self.solver_name = solver_name
         if seeds is None:
+            from repro.parallel.seeding import walk_seeds
+
             seeds = walk_seeds(k, seed)
         self.seeds = list(seeds)
-        self.rngs = [np.random.default_rng(s) for s in self.seeds]
+        self.rngs = [as_generator(s) for s in self.seeds]
+        #: per live row, its lane's observers; ``None`` when no lane has any
+        self._observers: Optional[list[CallbackList]] = None
+        if callbacks is not None and any(callbacks):
+            self._observers = [
+                CallbackList(list(members or ())) for members in callbacks
+            ]
         # observed, never chosen: the compiled round runs where its
         # kernels are loaded and cover the problem, the NumPy round
         # everywhere else (an explicit ``vector_problem=`` included)
@@ -224,8 +268,13 @@ class VectorWalkEngine:
 
         n = self.n
         self._configs = np.empty((k, n), dtype=np.int64)
-        for lane in range(k):
-            self._configs[lane] = problem.random_configuration(self.rngs[lane])
+        starts = initial_configurations or [None] * k
+        for lane, start in enumerate(starts):
+            if start is None:
+                start = problem.random_configuration(self.rngs[lane])
+            else:
+                problem.check_configuration(start)
+            self._configs[lane] = start
         self._cost = self.vp.lane_costs(self._configs)
         self._best_cost = self._cost.copy()
         self._best_configs = self._configs.copy()
@@ -259,12 +308,17 @@ class VectorWalkEngine:
         self._stopwatch = Stopwatch()
         self.rounds = 0
         self._sentinel = self.vp.delta_sentinel
-        self._set_width()
+        #: the adapter the round's scratch is set up for (see ``run``)
+        self._scratch_of: Optional[VectorProblem] = None
+        if self._observers is not None:
+            for row, observers in enumerate(self._observers):
+                observers.on_start(self._configs[row], float(self._cost[row]))
 
     def _set_width(self) -> None:
         """Per-width scratch: cached draw methods, then the compiled
         round's block or the NumPy round's flat row bounds and buffers."""
         m = len(self.rngs)
+        self._scratch_of = self.vp
         self._integers = [rng.integers for rng in self.rngs]
         self._randoms = [rng.random for rng in self.rngs]
         if self._compiled:
@@ -318,17 +372,30 @@ class VectorWalkEngine:
         time_limit = self.config.time_limit
         timed = math.isfinite(time_limit)
         one_round = self._compiled_round if self._compiled else self._round
+        # an IterationInfo is built only for someone to read it
+        observed = self._observers is not None and any(
+            observers.observes_iterations for observers in self._observers
+        )
         with sw:
             while True:
                 self._pre_phase()
                 if not self.rngs:
                     break
+                if self._scratch_of is not self.vp:
+                    # a first round, or the first at a new width: a batch
+                    # that ends in a pre-phase never pays for its scratch
+                    self._set_width()
                 one_round()
                 self.rounds += 1
+                if observed and not self._report_iterations():
+                    break
                 if callback is not None and callback(self) is False:
                     self._retire_all(TerminationReason.CANCELLED)
                     break
                 if timed and sw.elapsed >= time_limit:
+                    # a lane that has just solved has solved: the budget
+                    # comes second, as in the scalar loop
+                    self._pre_phase()
                     self._retire_all(TerminationReason.TIME_LIMIT)
                     break
         return VectorRunOutcome(walks=list(self._walks), elapsed=sw.elapsed)
@@ -338,10 +405,10 @@ class VectorWalkEngine:
         """Solved / restart / iteration-budget checks, in the scalar loop's
         order and precedence; lanes that end here are retired."""
         cfg = self.config
-        done: dict[int, TerminationReason] = {}
-        if self._cost.min() <= cfg.target_cost:
-            for row in (self._cost <= cfg.target_cost).nonzero()[0].tolist():
-                done[row] = TerminationReason.SOLVED
+        solved = (self._cost <= cfg.target_cost).nonzero()[0]
+        done: dict[int, TerminationReason] = dict.fromkeys(
+            solved.tolist(), TerminationReason.SOLVED
+        )
         if self.rounds >= self._next_restart:
             for row in (self._restart_due <= self.rounds).nonzero()[0].tolist():
                 if row not in done:
@@ -370,6 +437,10 @@ class VectorWalkEngine:
         self.vp.notify_rows([row], self._configs)
         self._marks[row] = 0
         self._restart_due[row] = self.rounds + cfg.restart_limit
+        if self._observers is not None:
+            self._observers[row].on_restart(
+                int(restarts[row]), float(self._cost[row])
+            )
         if self._cost[row] < self._best_cost[row]:
             self._best_cost[row] = self._cost[row]
             self._best_configs[row] = start
@@ -385,6 +456,10 @@ class VectorWalkEngine:
         self._marks[row] = 0
         self._cost[row] = self.problem.cost(config)
         self.vp.notify_rows([row], self._configs)
+        if self._observers is not None:
+            self._observers[row].on_reset(
+                self.rounds + 1, float(self._cost[row])
+            )
 
     # ------------------------------------------------------------------
     def _retire_all(self, reason: TerminationReason) -> None:
@@ -402,7 +477,7 @@ class VectorWalkEngine:
         for row, reason in done.items():
             lane = int(self._lanes[row])
             counters = dict(zip(_STAT_FIELDS, self._stats[:, row].tolist()))
-            self._walks[lane] = SolveResult(
+            self._walks[lane] = walk = SolveResult(
                 solved=reason is TerminationReason.SOLVED,
                 config=self._best_configs[row].copy(),
                 cost=float(self._best_cost[row]),
@@ -416,17 +491,56 @@ class VectorWalkEngine:
             self._done_iterations[lane] = self.rounds
             self._done_cost[lane] = self._cost[row]
             self._done_best_cost[lane] = self._best_cost[row]
-        keep = np.ones(m, dtype=bool)
-        keep[list(done)] = False
+            if self._observers is not None:
+                self._observers[row].on_finish(walk.solved, walk.cost)
+        kept = [row not in done for row in range(m)]
+        # when the whole batch leaves there is nothing to compress
+        keep = np.array(kept) if any(kept) else slice(0)
         for name in _LANE_ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
         # a mask on the second axis answers in column-major order
         self._stats = np.ascontiguousarray(self._stats[:, keep])
-        self.rngs = [rng for rng, kept in zip(self.rngs, keep.tolist()) if kept]
+        self.rngs = list(compress(self.rngs, kept))
+        if self._observers is not None:
+            self._observers = list(compress(self._observers, kept))
         if self.rngs:
             # every adapter starts from a bare configuration matrix
             self.vp = type(self.vp)(self.problem, len(self.rngs))
-            self._set_width()
+
+    def _report_iterations(self) -> bool:
+        """Hand every observed lane the iteration it just ran, as the
+        scalar loop does: after the iteration's reset, if it took one, and
+        not at all for a lane that was frozen solid (the scalar loop's
+        ``continue``).  A lane whose observer answers ``False`` is retired
+        ``CANCELLED`` here, at this iteration.  False when no lane is left."""
+        observers = self._observers
+        assert observers is not None
+        selected, executed, delta = (
+            self.vp.moves() if self._compiled else self._moves
+        )
+        cost, best_cost = self._cost.tolist(), self._best_cost.tolist()
+        resets, restarts = self._stats[_RESETS:].tolist()
+        cancelled = {}
+        for row, i in enumerate(selected):
+            if i < 0 or not observers[row].observes_iterations:
+                continue
+            j = executed[row]
+            if not observers[row].on_iteration(
+                IterationInfo(
+                    iteration=self.rounds,
+                    cost=cost[row],
+                    best_cost=best_cost[row],
+                    selected_variable=i,
+                    selected_swap=j,
+                    delta=float(delta[row]) if j >= 0 else 0.0,
+                    restarts=restarts[row],
+                    resets=resets[row],
+                )
+            ):
+                cancelled[row] = TerminationReason.CANCELLED
+        if cancelled:
+            self._retire(cancelled)
+        return bool(self.rngs)
 
     # ------------------------------------------------------------------
     def _compiled_round(self) -> None:
@@ -570,6 +684,15 @@ class VectorWalkEngine:
         if rows.size:
             self._best_cost[rows] = cost[rows]
             self._best_configs[rows] = configs[rows]
+
+        if self._observers is not None:
+            # what _report_iterations reads: per lane the variable selected
+            # (-1: frozen solid), the partner swapped with (-1: none), delta
+            selected = i_sel.copy()
+            if frozen:
+                selected[frozen] = -1
+            executed = np.where(moved, flat_j - base, -1)
+            self._moves = selected.tolist(), executed.tolist(), delta.tolist()
 
 
 def solve_vector(

@@ -28,27 +28,25 @@ This module imports the standard library only.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shlex
 import stat
-import subprocess
-import tempfile
 import warnings
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-__all__ = ["KernelBackend", "LaneBlock", "LOADED", "kernel_backend", "load_library"]
+__all__ = [
+    "KernelBackend", "LaneBlock", "LOADED", "address", "kernel_backend",
+    "load_library",
+]
 
 SOURCE = Path(__file__).with_name("lanes.c")
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 
-INT64_P = ctypes.POINTER(ctypes.c_int64)
-DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-
-
 class LaneBlock(ctypes.Structure):
-    """``lane_block`` of ``lanes.c``, field for field."""
+    """``lane_block`` of ``lanes.c``, field for field.  The pointers are
+    untyped here so that a field takes an :func:`address` as it is; what
+    each one points at (``int64_t``, or ``double`` for the two costs) is
+    checked where the array is bound."""
 
     _fields_ = [
         *((name, ctypes.c_int64) for name in (
@@ -56,17 +54,22 @@ class LaneBlock(ctypes.Structure):
             "plateau_is_local_min", "freeze_swap", "freeze_loc_min",
             "reset_limit",
         )),
-        *((name, INT64_P) for name in (
+        *((name, ctypes.c_void_p) for name in (
             "configs", "marks", "best_configs", "stats",
-        )),
-        ("cost", DOUBLE_P),
-        ("best_cost", DOUBLE_P),
-        *((name, INT64_P) for name in (
+            "cost", "best_cost",
             "state", "dirty", "err", "deltas", "cand",
             "count", "local_min", "draw", "accept",
             "i_sel", "delta", "resets",
         )),
     ]
+
+
+def address(array) -> int:
+    """Where a NumPy array's first element lives, as a :class:`LaneBlock`
+    pointer field takes it.  An address keeps nothing alive: whoever stores
+    one keeps the array.  (Exporting the buffer costs a third of
+    ``array.ctypes``, and refuses a read-only array, which C would write.)"""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 class Loaded(NamedTuple):
@@ -101,6 +104,12 @@ def _cache_dir() -> Path:
 
 def _build(source: Path, target: Path) -> str:
     """Compile ``source`` into ``target``; the error text ("" on success)."""
+    # what only a build needs is imported by a build: a warm cache starts
+    # no subprocess machinery
+    import shlex
+    import subprocess
+    import tempfile
+
     compiler = shlex.split(os.environ.get("CC") or "cc")
     handle, scratch = tempfile.mkstemp(
         dir=target.parent, prefix=".lanes-", suffix=".tmp"
@@ -156,6 +165,8 @@ def load_library(source: Path = SOURCE) -> Loaded:
     """The library built from ``source``, building it if the cache lacks it."""
     if not hasattr(os, "getuid"):
         return Loaded(None, None, "no per-user cache on this platform")
+    import hashlib
+
     try:
         text = source.read_bytes()
         digest = hashlib.sha256(text + " ".join(FLAGS).encode()).hexdigest()

@@ -586,12 +586,12 @@ _COMPILED: dict[Type[Problem], Callable[[Problem], tuple[int, int, int]]] = {
 }
 
 
-def _int64_pointer(array: np.ndarray) -> Any:
-    return array.ctypes.data_as(native.INT64_P)
-
-
-def _double_pointer(array: np.ndarray) -> Any:
-    return array.ctypes.data_as(native.DOUBLE_P)
+#: the per-lane vectors of a ``LaneBlock``, in the order
+#: :class:`CompiledLanes` lays them out behind its matrices
+_VECTORS = (
+    "dirty", "count", "local_min", "draw", "accept", "i_sel", "delta",
+    "resets",
+)
 
 
 def _require(array: np.ndarray, dtype: type, shape: tuple) -> None:
@@ -637,35 +637,38 @@ class CompiledLanes(VectorProblem):
         kind, order, state_size = _COMPILED[type(problem)](problem)
         n = self.n
         self.lib = lib
-        self._state = np.zeros((k, state_size), dtype=np.int64)
-        self._dirty = np.ones(k, dtype=np.int64)
-        self._err, self._deltas, self._cand = np.zeros(
-            (3, k, n), dtype=np.int64
+        # one allocation — the state, the three (k, n) matrices, then the
+        # eight per-lane vectors — and one address: an engine is built per
+        # one-walk slice and rebuilt at every retirement, so set-up is on
+        # the path
+        matrices = k * state_size
+        vectors = matrices + 3 * k * n
+        self._buffer = buffer = np.zeros(vectors + 8 * k, dtype=np.int64)
+        self._state = buffer[:matrices].reshape(k, state_size)
+        self._err, self._deltas, self._cand = buffer[matrices:vectors].reshape(
+            3, k, n
         )
+        per_lane = buffer[vectors:].reshape(8, k)
+        self._dirty = per_lane[0]
+        self._dirty[:] = 1
         #: out of a call, per lane: candidates tied for the extremum; is
         #: the lane at a local minimum
-        self.pending = np.zeros((2, k), dtype=np.int64)
+        self.pending = per_lane[1:3]
         #: into the next call, per lane: the tie's draw; was the
         #: local-minimum move accepted
-        self.answers = np.zeros((2, k), dtype=np.int64)
+        self.answers = per_lane[3:5]
         #: after ``lanes_apply``: why a lane needs a partial reset (0: none)
-        self._i_sel, self._delta, self.resets = np.zeros(
-            (3, k), dtype=np.int64
-        )
+        self._i_sel, self._delta, self.resets = per_lane[5:]
+        state = native.address(buffer)
+        err = state + 8 * matrices
         self.block = native.LaneBlock(
             kind=kind, m=k, n=n, order=order, state_size=state_size,
-            state=_int64_pointer(self._state),
-            dirty=_int64_pointer(self._dirty),
-            err=_int64_pointer(self._err),
-            deltas=_int64_pointer(self._deltas),
-            cand=_int64_pointer(self._cand),
-            count=_int64_pointer(self.pending[0]),
-            local_min=_int64_pointer(self.pending[1]),
-            draw=_int64_pointer(self.answers[0]),
-            accept=_int64_pointer(self.answers[1]),
-            i_sel=_int64_pointer(self._i_sel),
-            delta=_int64_pointer(self._delta),
-            resets=_int64_pointer(self.resets),
+            state=state, err=err, deltas=err + 8 * k * n,
+            cand=err + 16 * k * n,
+            **{
+                field: state + 8 * (vectors + k * index)
+                for index, field in enumerate(_VECTORS)
+            },
         )
         #: the arrays the block points into that this object does not own
         self._bound: tuple = ()
@@ -691,23 +694,39 @@ class CompiledLanes(VectorProblem):
         self._bound = (configs, marks, cost, best_cost, best_configs, stats)
         self._configs = configs
         block = self.block
-        block.configs = _int64_pointer(configs)
-        block.marks = _int64_pointer(marks)
-        block.best_configs = _int64_pointer(best_configs)
-        block.stats = _int64_pointer(stats)
-        block.cost = _double_pointer(cost)
-        block.best_cost = _double_pointer(best_cost)
+        block.configs = native.address(configs)
+        block.marks = native.address(marks)
+        block.best_configs = native.address(best_configs)
+        block.stats = native.address(stats)
+        block.cost = native.address(cost)
+        block.best_cost = native.address(best_cost)
         block.plateau_is_local_min = bool(config.plateau_is_local_min)
         block.freeze_swap = int(config.freeze_swap)
         block.freeze_loc_min = int(config.freeze_loc_min)
         block.reset_limit = int(config.reset_limit)
+
+    def moves(self) -> tuple[list[int], list[int], list[int]]:
+        """What the round that ``lanes_apply`` just finished did, per lane,
+        as an observer of the iteration is told it: the variable selected
+        (-1: every variable frozen, nothing selected), the partner it was
+        swapped with (-1: no swap executed) and the selection's delta."""
+        _, local_min = self.pending.tolist()
+        draw, accepted = self.answers.tolist()
+        partner = self._cand.item
+        executed = [
+            partner(lane, draw[lane])
+            if accepted[lane] or not local_min[lane]
+            else -1
+            for lane in range(self.k)
+        ]
+        return self._i_sel.tolist(), executed, self._delta.tolist()
 
     # -- the VectorProblem protocol, one kernel per call ---------------
     def begin_round(self, configs: np.ndarray) -> None:
         if configs is not self._configs:
             _require(configs, np.int64, (self.k, self.n))
             self._configs = configs
-            self.block.configs = _int64_pointer(configs)
+            self.block.configs = native.address(configs)
 
     def errors(self) -> np.ndarray:
         if self._configs is None:
@@ -744,7 +763,7 @@ class CompiledLanes(VectorProblem):
         costs = np.empty(self.k, dtype=np.float64)
         block = self.block
         held = block.configs, block.cost
-        block.configs, block.cost = _int64_pointer(configs), _double_pointer(costs)
+        block.configs, block.cost = native.address(configs), native.address(costs)
         self.lib.lanes_costs(block)
         block.configs, block.cost = held
         # the state now describes ``configs``, whatever matrix is bound

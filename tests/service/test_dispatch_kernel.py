@@ -1,8 +1,9 @@
 """A dispatch says what its lanes run on.
 
 ``JobDispatch.kernel`` is set where the scheduler decides the slice width:
-``"compiled"`` (``lanes.c``), ``"numpy"`` (its build is not there, or has
-no kernels for the problem) or ``"scalar"`` (a one-walk slice) — so
+``"compiled"`` (``lanes.c``; a one-walk slice of a problem it covers is one
+compiled lane), ``"numpy"`` (its build is not there, or has no kernels for
+the problem) or ``"scalar"`` (one walk on the session) — so
 ``repro trace`` can answer "why was this slice slow" on a host whose build
 failed, and ``repro service`` / ``repro node`` say which host that is.
 """
@@ -47,16 +48,26 @@ class TestDispatchNamesItsKernel:
         timeline = render_timeline(records, analyze_trace(records))
         assert f"as 4 lanes -> worker 0 kernel={backend}" in timeline
 
-    def test_one_walk_slices_are_scalar(self):
-        # a problem with lane kernels but no more walks than workers, and
-        # one without lane kernels at any width
-        for problem, n_walkers in (
-            (make_problem("magic_square", n=6), 2),
-            (make_problem("queens", n=20), 6),
+    def test_one_walk_slices_say_what_runs_them(self):
+        """A one-walk slice is ``AdaptiveSearch.solve``: one compiled lane
+        for a problem ``lanes.c`` covers, the scalar session for a problem
+        without lane kernels at any width — and on a host without the
+        library for both (a NumPy round at k = 1 loses to the session)."""
+        compiled = kernel_backend().name == "compiled"
+        for problem, n_walkers, lanes, kernel in (
+            (make_problem("magic_square", n=6), 2, *(
+                (1, "compiled") if compiled else (0, "scalar")
+            )),
+            (make_problem("queens", n=20), 6, 0, "scalar"),
         ):
-            dispatches, _ = traced_dispatches(problem, n_walkers)
-            assert [d["lanes"] for d in dispatches] == [0] * n_walkers
-            assert {d["kernel"] for d in dispatches} == {"scalar"}
+            dispatches, records = traced_dispatches(problem, n_walkers)
+            assert [d["lanes"] for d in dispatches] == [lanes] * n_walkers
+            assert {d["kernel"] for d in dispatches} == {kernel}
+            timeline = render_timeline(records, analyze_trace(records))
+            if lanes:
+                assert "walks=0 as 1 lane -> worker 0 kernel=compiled" in timeline
+            else:
+                assert "dispatch job=7 walk=0 -> worker" in timeline
 
     def test_past_the_mask_limit_lanes_need_the_compiled_kernels(self):
         """costas 34 is beyond the NumPy adapter's 64-bit masks: lanes

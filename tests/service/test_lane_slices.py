@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.solver import AdaptiveSearch
 from repro.core.termination import TerminationReason
 from repro.net import LocalCluster
 from repro.parallel import MultiWalkSolver, WalkOutcome, walk_seeds
@@ -28,6 +27,7 @@ from repro.telemetry.events import TraceContext
 from repro.telemetry.recorder import Recorder
 from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.timeline import analyze_trace, render_timeline
+from tests.conftest import session_walk
 
 CAPPED = AdaptiveSearchConfig(max_iterations=150)
 UNBOUNDED = AdaptiveSearchConfig(max_iterations=100_000_000)
@@ -46,7 +46,7 @@ def scalar_walks(problem, n_walkers, seed, config=CAPPED):
     return [
         WalkOutcome.from_result(
             walk_id,
-            AdaptiveSearch(config).solve(problem, seed=walk_seed),
+            session_walk(config, problem, seed=walk_seed),
             best_so_far=True,
         )
         for walk_id, walk_seed in enumerate(walk_seeds(n_walkers, seed))

@@ -204,6 +204,37 @@ def test_plain_imports_and_verbs_start_no_compiler(tmp_path):
     assert mark.exists()
 
 
+def test_a_warm_lane_engine_import_is_the_engine_and_nothing_else():
+    """``AdaptiveSearch.solve`` imports ``repro.vector`` on its first call,
+    so a one-walk ``repro solve`` pays for whatever that import drags in.
+    With the library already in the cache it loads no executor stack
+    (``walk_seeds`` is imported where an engine derives its own seeds) and
+    no build machinery (imported by ``native._build``, which does not run)."""
+    report = _child(
+        "import repro\n"
+        "import repro.vector\n"
+        "from repro.vector import native\n"
+        "print(json.dumps({\n"
+        "    'compiled': native.LOADED.lib is not None,\n"
+        "    'loaded': sorted(m for m in ('repro.parallel', 'subprocess',\n"
+        "        'multiprocessing', 'tempfile', 'shlex') if m in sys.modules),\n"
+        "}))"
+    )
+    if not report["compiled"]:
+        pytest.skip("no compiled library on this host: the import builds")
+    assert report["loaded"] == []
+
+
+def test_the_first_solve_loads_the_lane_engine_not_import_repro():
+    report = _child(
+        "import repro\n"
+        "before = 'repro.vector' in sys.modules\n"
+        "repro.AdaptiveSearch().solve(repro.make_problem('costas', n=6), 1)\n"
+        "print(json.dumps([before, 'repro.vector' in sys.modules]))"
+    )
+    assert report == [False, True]
+
+
 @needs_proc_maps
 def test_forked_pool_workers_map_the_parents_library():
     """``import repro.service`` loads ``lanes.c`` before the pool forks: a

@@ -24,6 +24,7 @@ from repro.telemetry import (
     set_recorder,
 )
 from repro.vector.engine import VectorWalkEngine
+from tests.conftest import session_walk
 
 
 def magic(n=6):
@@ -144,8 +145,8 @@ class TestVectorExecutor:
         assert len(result.walks) == 4
         if result.solved:
             w = result.winner.walk_id
-            scalar = AdaptiveSearch(config).solve(
-                magic(5), walk_seeds(4, 13)[w]
+            scalar = session_walk(
+                config, magic(5), walk_seeds(4, 13)[w]
             )
             assert scalar.solved
             assert result.winner.iterations == scalar.stats.iterations
@@ -194,8 +195,8 @@ def scalar_witnesses(problem_factory, config, seeds):
     for seed in seeds:
         trace = CostTrace()
         results.append(
-            AdaptiveSearch(config).solve(
-                problem_factory(), seed, callbacks=[trace]
+            session_walk(
+                config, problem_factory(), seed, callbacks=[trace]
             )
         )
         traces.append(trace)

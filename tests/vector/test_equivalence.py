@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.solver import AdaptiveSearch
 from repro.problems import make_problem
 from repro.vector.engine import VectorWalkEngine
+from tests.conftest import session_walk
 
 FAMILIES = [
     ("magic_square", {"n": 6}),
@@ -63,8 +63,8 @@ class TestScalarEquivalenceK1:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_bit_identical_trajectory(self, family, params, seed):
         config = AdaptiveSearchConfig(max_iterations=2000)
-        scalar = AdaptiveSearch(config).solve(
-            make_problem(family, **params), seed
+        scalar = session_walk(
+            config, make_problem(family, **params), seed
         )
         outcome = VectorWalkEngine(
             make_problem(family, **params), k=1, config=config, seeds=[seed]
@@ -84,7 +84,7 @@ class TestScalarEquivalenceK1:
             restart_limit=restart_limit,
             max_restarts=max_restarts,
         )
-        scalar = AdaptiveSearch(config).solve(make_problem("magic_square", n=5), seed)
+        scalar = session_walk(config, make_problem("magic_square", n=5), seed)
         outcome = VectorWalkEngine(
             make_problem("magic_square", n=5), k=1, config=config, seeds=[seed]
         ).run()
@@ -105,8 +105,8 @@ class TestLaneIndependence:
             seeds=seeds,
         ).run()
         for lane, seed in enumerate(seeds):
-            scalar = AdaptiveSearch(config).solve(
-                make_problem(family, **params), seed
+            scalar = session_walk(
+                config, make_problem(family, **params), seed
             )
             assert_walks_equal(
                 scalar, outcome.walks[lane], f"{family} lane={lane}"

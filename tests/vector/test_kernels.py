@@ -26,7 +26,6 @@ import pytest
 
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.selection import argmin_random_tie, masked_argmax_random_tie
-from repro.core.solver import AdaptiveSearch
 from repro.problems import make_problem
 from repro.vector import kernel_backend
 from repro.vector.engine import VectorWalkEngine
@@ -43,6 +42,7 @@ from repro.vector.problems import (
 )
 from repro.vector.selection import argmin_lanes, masked_argmax_lanes
 from tests.vector.test_equivalence import assert_walks_equal
+from tests.conftest import session_walk
 
 COMPILED = kernel_backend().name == "compiled"
 needs_compiled = pytest.mark.skipif(
@@ -351,8 +351,8 @@ class TestCompiledRound:
         assert isinstance(engine.vp, CompiledLanes)
         walks = engine.run().walks
         for lane, seed in enumerate(seeds):
-            scalar = AdaptiveSearch(config).solve(
-                make_problem(family, n=n), seed
+            scalar = session_walk(
+                config, make_problem(family, n=n), seed
             )
             assert_walks_equal(scalar, walks[lane], f"{family}-{n} lane={lane}")
 

@@ -18,12 +18,12 @@ import dataclasses
 import pytest
 
 from repro.core.config import AdaptiveSearchConfig
-from repro.core.solver import AdaptiveSearch
 from repro.core.termination import TerminationReason
 from repro.harness.runner import BenchmarkSpec, collect_samples
 from repro.problems import make_problem
 from repro.vector.engine import VectorWalkEngine
 from tests.vector.test_equivalence import assert_walks_equal
+from tests.conftest import session_walk
 
 # the two stress configurations of tests/core/test_golden_walks.py ...
 CHURN = AdaptiveSearchConfig(
@@ -52,7 +52,7 @@ SEEDS = list(range(40, 47))
 
 
 def scalar_walk(family, n, config, seed):
-    return AdaptiveSearch(config).solve(make_problem(family, n=n), seed)
+    return session_walk(config, make_problem(family, n=n), seed)
 
 
 def vector_walks(family, n, config, seeds, first_wins=False):

@@ -1,8 +1,9 @@
 """The lane suites again, on the NumPy round.
 
-``test_equivalence.py``, ``test_lane_trajectories.py`` and
-``test_engine.py`` build their engines with the default constructor, which
-takes the compiled round wherever ``lanes.c`` is loaded.  The NumPy round
+``test_equivalence.py``, ``test_lane_trajectories.py``,
+``test_lane_observers.py`` and ``test_engine.py`` build their engines with
+the default constructor, which takes the compiled round wherever
+``lanes.c`` is loaded.  The NumPy round
 stays — it is the only lane path on a host without a C compiler, and the
 reference the compiled kernels are tested against — so the same classes are
 collected here a second time, unedited, under the ``numpy_lane_round``
@@ -45,6 +46,9 @@ TestVectorTelemetryEvents = _engine.TestVectorTelemetryEvents
 _equivalence = second_copy("test_equivalence")
 TestLaneIndependence = _equivalence.TestLaneIndependence
 TestScalarEquivalenceK1 = _equivalence.TestScalarEquivalenceK1
+
+_observers = second_copy("test_lane_observers")
+TestLaneObservers = _observers.TestLaneObservers
 
 _trajectories = second_copy("test_lane_trajectories")
 TestCollectSamplesThroughLanes = _trajectories.TestCollectSamplesThroughLanes
