@@ -42,20 +42,37 @@ partial resets they drive.  ``iterations`` / ``cost`` / ``best_cost`` /
 
 Two rounds, one contract
 ------------------------
-The lifecycle around a round — seeding, the pre-phase, retirement, partial
-resets, restarts, callbacks, results — is one body of code.  The round
-itself exists twice.  ``_compiled_round`` is three calls into ``lanes.c``
-(errors and the worst-variable candidates; the picked variable's deltas,
-the best-swap candidates and the local-minimum flags; then marks, counters,
-swaps, incremental state, cost and best-so-far) with the draws made here in
-Python between the calls: C never sees a generator, so a lane's stream does
-not depend on how the round is executed.  ``_round`` is the same iteration
-as whole-batch NumPy statements; it is the only lane path on a host where
-``lanes.c`` could not be built, the path of third-party adapters and of an
-explicit ``vector_problem=``, and the reference the compiled kernels are
-tested against.  Which one runs is observed
+The lifecycle around a round — seeding, the pre-phase, retirement,
+restarts, callbacks, results — is one body of code.  The round itself
+exists twice.  The compiled one is ``lanes_run`` of ``lanes.c``: per lane
+the whole scalar iteration, partial reset included, with every draw made in
+C *through the lane's own generator* (NumPy's ``bitgen_t`` interface; the
+one NumPy algorithm C reproduces, the bounded-integer map of
+``Generator.integers``, is checked draw for draw when the library loads).
+The contract above is unchanged word for word: the session calls
+``rng.integers`` / ``rng.random``, C calls the same generator's own
+functions, so a lane's stream does not depend on how the round is executed.
+``_round`` is the same iteration as whole-batch NumPy statements with the
+draws made in Python; it is the only lane path on a host where ``lanes.c``
+could not be built or failed its handshake, the path of third-party
+adapters and of an explicit ``vector_problem=``, and the reference the
+compiled kernels are tested against.  Which one runs is observed
 (:func:`repro.vector.problems.lane_kernel`), never chosen: there is no
 argument, option or environment variable for it.
+
+``run`` advances to the next event
+----------------------------------
+Nothing in Python happens inside a compiled walk except restarts,
+retirement and whoever watches.  So after the pre-phase ``run`` asks C for
+every round up to the next one of those — ``min(next restart due,
+max_iterations) - rounds`` — and C returns early after the round in which a
+lane reaches the target.  One call is capped at
+:data:`_LANE_ITERATIONS_PER_CALL` lane-iterations (tens of milliseconds):
+a ctypes call cannot be interrupted, so that is the grain at which
+``time_limit`` is checked and a signal is delivered.  A batch with
+observers or a ``round_callback`` runs one round per call and tells them
+what the NumPy round tells them.  The call releases the GIL.  How rounds
+are grouped into calls changes no walk (``tests/vector/test_call_grouping``).
 
 One lane is ``AdaptiveSearch.solve``
 -----------------------------------
@@ -67,7 +84,7 @@ per lane and at any width: observers (``callbacks=``, the protocol of
 retiring that lane ``CANCELLED`` at that iteration), a pinned first start
 (``initial_configurations=``) and a caller's ready generator as the lane's
 stream (``seeds=``).  An engine nobody observes tests for observers once a
-round and does nothing else for them.
+call and does nothing else for them.
 
 First-finisher semantics
 ------------------------
@@ -78,9 +95,9 @@ event.  With ``first_wins=False`` every lane runs to its own termination
 (stragglers continue in an ever narrower batch), mirroring the inline
 executor and ``collect_samples``.
 
-Time limits are honoured at round granularity (every lane shares the
-engine's clock); reproducible runs should bound ``max_iterations`` instead,
-exactly as with the scalar engine.
+Time limits are honoured between calls (every lane shares the engine's
+clock); reproducible runs should bound ``max_iterations`` instead, exactly
+as with the scalar engine.
 """
 
 from __future__ import annotations
@@ -124,10 +141,8 @@ _STAT_FIELDS = (
 )
 _SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS = range(7)
 
-#: why ``lanes_apply`` hands a lane back for a partial reset (0: it does
-#: not): a refused local minimum over the reset limit — the other reason,
-#: every variable frozen, skips the iteration's best-tracking
-_REJECTED = 2
+#: lane-iterations one ``lanes_run`` call may span (see module docstring)
+_LANE_ITERATIONS_PER_CALL = 1 << 14
 
 #: the per-lane arrays a retirement compresses (the counters aside)
 _LANE_ARRAYS = (
@@ -165,6 +180,11 @@ class VectorRunOutcome:
 
 class VectorWalkEngine:
     """Lock-step batch of ``k`` Adaptive Search walks (see module docstring).
+
+    A lane's generator belongs to the engine for the length of :meth:`run`:
+    the compiled round draws from it without ``bit_generator.lock`` and
+    without the GIL, so nothing else may draw from it meanwhile — and no
+    two lanes may share one.
 
     Parameters
     ----------
@@ -248,7 +268,18 @@ class VectorWalkEngine:
 
             seeds = walk_seeds(k, seed)
         self.seeds = list(seeds)
+        #: per live row, its lane's stream; C holds their addresses, this
+        #: list keeps them alive
         self.rngs = [as_generator(s) for s in self.seeds]
+        if k > 1 and len({id(rng.bit_generator) for rng in self.rngs}) < k:
+            streams = [id(rng.bit_generator) for rng in self.rngs]
+            shared = [
+                lane for lane, s in enumerate(streams) if streams.count(s) > 1
+            ]
+            raise SolverError(
+                f"lanes {shared} share a bit generator; every lane draws "
+                "from a stream of its own"
+            )
         #: per live row, its lane's observers; ``None`` when no lane has any
         self._observers: Optional[list[CallbackList]] = None
         if callbacks is not None and any(callbacks):
@@ -307,6 +338,8 @@ class VectorWalkEngine:
         self._done_best_cost = np.zeros(k, dtype=np.float64)
         self._stopwatch = Stopwatch()
         self.rounds = 0
+        #: round-running calls made so far (one per round on the NumPy round)
+        self.calls = 0
         self._sentinel = self.vp.delta_sentinel
         #: the adapter the round's scratch is set up for (see ``run``)
         self._scratch_of: Optional[VectorProblem] = None
@@ -315,18 +348,18 @@ class VectorWalkEngine:
                 observers.on_start(self._configs[row], float(self._cost[row]))
 
     def _set_width(self) -> None:
-        """Per-width scratch: cached draw methods, then the compiled
-        round's block or the NumPy round's flat row bounds and buffers."""
+        """Per-width scratch: the compiled round's block, or the NumPy
+        round's cached draw methods, flat row bounds and buffers."""
         m = len(self.rngs)
         self._scratch_of = self.vp
-        self._integers = [rng.integers for rng in self.rngs]
-        self._randoms = [rng.random for rng in self.rngs]
         if self._compiled:
             self.vp.bind(
                 self._configs, self._marks, self._cost, self._best_cost,
-                self._best_configs, self._stats, self.config,
+                self._best_configs, self._stats, self.config, self.rngs,
             )
             return
+        self._integers = [rng.integers for rng in self.rngs]
+        self._randoms = [rng.random for rng in self.rngs]
         self._bounds = np.arange(m + 1) * self.n
         self._eligible = np.empty((m, self.n), dtype=bool)
         self._better = np.empty(m, dtype=bool)
@@ -369,10 +402,12 @@ class VectorWalkEngine:
         """Run every lane to termination; see class docstring for modes."""
         sw = self._stopwatch
         callback = self.round_callback
+        max_iterations = self.config.max_iterations
         time_limit = self.config.time_limit
         timed = math.isfinite(time_limit)
-        one_round = self._compiled_round if self._compiled else self._round
-        # an IterationInfo is built only for someone to read it
+        # whoever watches is told round by round; an IterationInfo is built
+        # only for someone to read it
+        watched = callback is not None or self._observers is not None
         observed = self._observers is not None and any(
             observers.observes_iterations for observers in self._observers
         )
@@ -385,8 +420,20 @@ class VectorWalkEngine:
                     # a first round, or the first at a new width: a batch
                     # that ends in a pre-phase never pays for its scratch
                     self._set_width()
-                one_round()
-                self.rounds += 1
+                if self._compiled:
+                    span = 1 if watched else min(
+                        min(self._next_restart, max_iterations) - self.rounds,
+                        max(1, _LANE_ITERATIONS_PER_CALL // len(self.rngs)),
+                    )
+                    self.rounds += self.vp.lib.lanes_run(
+                        self.vp.block, self.rounds + 1, math.ceil(span)
+                    )
+                else:
+                    self._round()
+                    self.rounds += 1
+                self.calls += 1
+                if self._compiled and self._observers is not None:
+                    self._report_resets()
                 if observed and not self._report_iterations():
                     break
                 if callback is not None and callback(self) is False:
@@ -449,7 +496,8 @@ class VectorWalkEngine:
         return None
 
     def _partial_reset(self, row: int) -> None:
-        """The scalar partial reset on one lane's row (same RNG calls)."""
+        """The scalar partial reset on one lane's row (same RNG calls), for
+        the NumPy round; ``lanes.c`` makes its own (``lane_reset``)."""
         config = self._configs[row]
         random_partial_reset(config, self.config.reset_fraction, self.rngs[row])
         self._stats[_RESETS, row] += 1
@@ -507,6 +555,14 @@ class VectorWalkEngine:
             # every adapter starts from a bare configuration matrix
             self.vp = type(self.vp)(self.problem, len(self.rngs))
 
+    def _report_resets(self) -> None:
+        """Tell the observers of the lanes ``lanes_run`` reset in the round
+        it just ran (the NumPy round's are told by ``_partial_reset``)."""
+        observers = self._observers
+        assert observers is not None
+        for row in self.vp.resets.nonzero()[0].tolist():
+            observers[row].on_reset(self.rounds, float(self._cost[row]))
+
     def _report_iterations(self) -> bool:
         """Hand every observed lane the iteration it just ran, as the
         scalar loop does: after the iteration's reset, if it took one, and
@@ -543,48 +599,6 @@ class VectorWalkEngine:
         return bool(self.rngs)
 
     # ------------------------------------------------------------------
-    def _compiled_round(self) -> None:
-        """One lock-step iteration of every lane: three calls into
-        ``lanes.c``, and between them the draws, per lane, at the scalar
-        call sites and in the scalar order — ``integers(0, c)`` for a lane
-        whose selection is tied ``c`` ways, ``random()`` for a lane at a
-        local minimum, then the partial resets."""
-        it = self.rounds + 1
-        vp = self.vp
-        lib, block = vp.lib, vp.block
-        integers = self._integers
-        pending, answers = vp.pending, vp.answers
-
-        # worst variable that is not frozen ...
-        lib.lanes_worst(block, it)
-        answers[0] = [
-            integers[row](0, count) if count > 1 else 0
-            for row, count in enumerate(pending[0].tolist())
-        ]
-        # ... its best swap (never with itself) ...
-        lib.lanes_best_swap(block)
-        randoms = self._randoms
-        prob = self.config.prob_select_loc_min
-        draws, accepted = [], []
-        for row, (count, local_min) in enumerate(zip(*pending.tolist())):
-            draws.append(integers[row](0, count) if count > 1 else 0)
-            accepted.append(local_min and randoms[row]() < prob)
-        answers[...] = (draws, accepted)
-        # ... and the iteration's bookkeeping, swap and best-so-far
-        if lib.lanes_apply(block, it):
-            # some lanes were handed back for a partial reset; a refused
-            # local minimum is still seen by the scalar loop's
-            # best-tracking, after its reset
-            for row, why in enumerate(vp.resets.tolist()):
-                if why:
-                    self._partial_reset(row)
-                    if (
-                        why == _REJECTED
-                        and self._cost[row] < self._best_cost[row]
-                    ):
-                        self._best_cost[row] = self._cost[row]
-                        self._best_configs[row] = self._configs[row]
-
     def _round(self) -> None:
         """One lock-step iteration of every lane, in NumPy."""
         cfg = self.config

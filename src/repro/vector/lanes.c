@@ -1,18 +1,23 @@
-/* One lock-step round of Adaptive Search lanes, compiled.
+/* Adaptive Search lanes, compiled: whole walks between two Python events.
  *
  * repro/vector/native.py builds this file once per machine and loads it with
- * ctypes; repro/vector/engine.py runs a round as three calls into it
- * (lanes_worst, lanes_best_swap, lanes_apply) and makes every random draw
- * itself, between the calls, on the lane's own NumPy generator: this file
- * draws nothing.  It works through raw pointers on NumPy arrays described by
- * one lane_block (mirrored field for field by native.LaneBlock), allocates
- * nothing and keeps nothing between calls; every quantity is an exact 64-bit
- * integer, so no instance size overflows or needs a mask.
+ * ctypes; repro/vector/engine.py advances a batch with one call, lanes_run,
+ * which runs lock-step rounds until a lane solves or the span it was given
+ * ends (a restart falls due, the budget ends, someone observes each round).
+ * A lane's draws are made here, by that lane's own NumPy bit generator,
+ * through the bitgen_t NumPy publishes for the purpose, at the scalar
+ * loop's call sites and in its order.  What that welds to NumPy is one
+ * algorithm, the bounded-integer map of Generator.integers (draw_below);
+ * native.py checks it draw for draw before the library is used at all.
+ * Everything works through raw pointers on NumPy arrays described by one
+ * lane_block (mirrored field for field by native.LaneBlock), allocates
+ * nothing and keeps nothing between calls; every quantity is an exact
+ * 64-bit integer, so no instance size overflows or needs a mask.
  *
  * A lane's derived state is a pure function of its configuration row and
- * follows every swap incrementally (lanes_apply); a row rewritten behind the
- * kernels' back (partial reset, restart, a new batch width) is flagged in
- * dirty[] and rebuilt before it is next read:
+ * follows every swap incrementally; a row rewritten here (partial reset) is
+ * rebuilt on the spot, one rewritten from Python (restart, a new batch
+ * width) is flagged in dirty[] and rebuilt before it is next read:
  *
  *   magic square   the 2s + 2 line sums, less the magic constant
  *   all-interval   counts[v]: adjacent differences of absolute value v
@@ -30,16 +35,24 @@
 enum { MAGIC_SQUARE = 0, ALL_INTERVAL = 1, COSTAS = 2 };
 
 /* rows of the engine's (7, m) counter array (engine._STAT_FIELDS) */
-enum { SWAPS, PLATEAU, ACCEPTED, LOCAL_MIN, FROZEN };
+enum { SWAPS, PLATEAU, ACCEPTED, LOCAL_MIN, FROZEN, RESETS };
 
-/* why lanes_apply hands a lane back for a partial reset */
-enum { NO_RESET = 0, ALL_FROZEN = 1, REJECTED = 2 };
+/* numpy/random/bitgen.h: what a BitGenerator's capsule points at */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 typedef struct {
     /* shape: m lanes of n variables; order is the side of a magic square */
     int64_t kind, m, n, order, state_size;
     /* solver configuration, constant for an engine */
     int64_t plateau_is_local_min, freeze_swap, freeze_loc_min, reset_limit;
+    int64_t reset_swaps;
+    double prob_select_loc_min, target_cost;
     /* the engine's own arrays */
     int64_t *configs, *marks, *best_configs; /* (m, n) */
     int64_t *stats;                          /* (7, m) */
@@ -49,16 +62,25 @@ typedef struct {
     int64_t *dirty; /* (m,) */
     /* scratch */
     int64_t *err, *deltas, *cand; /* (m, n) */
-    /* out: candidates tied for the extremum; local-minimum flag */
-    int64_t *count, *local_min; /* (m,) */
-    /* in: the tied lanes' draws; the local-minimum lanes' acceptance */
-    int64_t *draw, *accept; /* (m,) */
-    int64_t *i_sel, *delta, *resets; /* (m,) */
+    /* the last round, as an observer of it is told: swap partners tied for
+     * the least delta (in cand) and the one drawn, at a local minimum?,
+     * accepted?, the variable picked (-1: none, all frozen), the least
+     * delta, took a partial reset? */
+    int64_t *count, *local_min, *draw, *accept; /* (m,) */
+    int64_t *i_sel, *delta, *resets;            /* (m,) */
+    int64_t *bitgen; /* (m,): address of each lane's bitgen_t */
 } lane_block;
 
 int64_t lanes_block_size(void) { return (int64_t)sizeof(lane_block); }
 
 static inline int64_t iabs(int64_t x) { return x < 0 ? -x : x; }
+
+static inline void exchange(int64_t *v, int64_t i, int64_t j)
+{
+    const int64_t held = v[i];
+    v[i] = v[j];
+    v[j] = held;
+}
 
 /* ------------------------------------------------------------------ */
 /* magic square                                                        */
@@ -304,6 +326,16 @@ static void lane_rebuild(const lane_block *b, int64_t l)
     b->dirty[l] = 0;
 }
 
+/* rebuild a lane's state from its configuration row and write its cost */
+static void lane_recost(const lane_block *b, int64_t l)
+{
+    const int64_t *state = b->state + l * b->state_size;
+    lane_rebuild(b, l);
+    b->cost[l] = (double)(b->kind == MAGIC_SQUARE
+                              ? magic_cost(state, b->order)
+                              : table_cost(state, b->state_size));
+}
+
 static void lane_errors(const lane_block *b, int64_t l)
 {
     const int64_t *v = b->configs + l * b->n;
@@ -352,25 +384,17 @@ static void lane_swap(const lane_block *b, int64_t l, int64_t i, int64_t j)
     case ALL_INTERVAL: interval_shift(v, state, b->n, i, j, 0); break;
     default: costas_shift(v, state, b->n, i, j, 0); break;
     }
-    const int64_t held = v[i];
-    v[i] = v[j];
-    v[j] = held;
+    exchange(v, i, j);
 }
 
 /* ------------------------------------------------------------------ */
 /* the kernels one at a time (VectorProblem protocol, tests)           */
 /* ------------------------------------------------------------------ */
 
-/* rebuild every lane's state and write its cost */
 void lanes_costs(const lane_block *b)
 {
-    for (int64_t l = 0; l < b->m; l++) {
-        const int64_t *state = b->state + l * b->state_size;
-        lane_rebuild(b, l);
-        b->cost[l] = (double)(b->kind == MAGIC_SQUARE
-                                  ? magic_cost(state, b->order)
-                                  : table_cost(state, b->state_size));
-    }
+    for (int64_t l = 0; l < b->m; l++)
+        lane_recost(b, l);
 }
 
 void lanes_errors(const lane_block *b)
@@ -389,129 +413,150 @@ void lanes_deltas(const lane_block *b)
 }
 
 /* ------------------------------------------------------------------ */
-/* the round                                                           */
+/* the draws                                                           */
 /* ------------------------------------------------------------------ */
 
-/* Call 1: errors, then the variables tied for the worst error among those
- * not frozen at iteration `it`, ascending, in cand[l]; count[l] of them
- * (0: every variable of the lane is frozen).  Python draws
- * integers(0, count) for a lane with count > 1 into draw[l]. */
-void lanes_worst(const lane_block *b, int64_t it)
+/* Generator.integers(0, count), 1 <= count < 2^32, draw for draw: NumPy's
+ * buffered_bounded_lemire_uint32 over the generator's own next_uint32
+ * (Lemire's multiply-and-reject); a range of one draws nothing. */
+static inline int64_t draw_below(const bitgen_t *g, int64_t count)
 {
-    const int64_t n = b->n;
-    for (int64_t l = 0; l < b->m; l++) {
-        const int64_t *err = b->err + l * n, *marks = b->marks + l * n;
-        int64_t *cand = b->cand + l * n;
-        int64_t worst = -1, c = 0;
-        lane_errors(b, l);
-        for (int64_t x = 0; x < n; x++) {
-            if (marks[x] >= it)
-                continue;
-            if (err[x] > worst) {
-                worst = err[x];
-                c = 0;
-            }
-            if (err[x] == worst)
-                cand[c++] = x;
-        }
-        b->count[l] = c;
+    const uint32_t range = (uint32_t)count;
+    if (count <= 1)
+        return 0;
+    uint64_t scaled = (uint64_t)g->next_uint32(g->state) * range;
+    if ((uint32_t)scaled < range) {
+        const uint32_t threshold = (UINT32_MAX - (range - 1)) % range;
+        while ((uint32_t)scaled < threshold)
+            scaled = (uint64_t)g->next_uint32(g->state) * range;
     }
+    return (int64_t)(scaled >> 32);
 }
 
-/* Call 2: settle the worst variable i (i_sel[l]; -1 for a lane with every
- * variable frozen, which selects nothing), then its deltas, the swap
- * partners tied for the least, ascending, in cand[l], count[l] of them,
- * the least delta in delta[l] and whether it makes the lane a local
- * minimum.  Python draws integers(0, count) for a lane with count > 1 into
- * draw[l], then random() for a local-minimum lane into accept[l]. */
-void lanes_best_swap(const lane_block *b)
+/* The map on its own (native.py's handshake, tests): per entry of counts,
+ * integers(0, count), or random() where count is 0. */
+void lanes_draws(const bitgen_t *g, const int64_t *counts, double *out,
+                 int64_t n)
 {
-    const int64_t n = b->n;
-    for (int64_t l = 0; l < b->m; l++) {
-        const int64_t *deltas = b->deltas + l * n;
-        int64_t *cand = b->cand + l * n;
-        int64_t c = b->count[l], best = INT64_MAX;
-        if (c == 0) {
-            b->i_sel[l] = -1;
-            b->local_min[l] = 0;
-            continue;
-        }
-        const int64_t i = cand[c > 1 ? b->draw[l] : 0];
-        b->i_sel[l] = i;
-        lane_deltas(b, l, i);
-        c = 0;
-        for (int64_t j = 0; j < n; j++) {
-            if (j == i)
-                continue;
-            if (deltas[j] < best) {
-                best = deltas[j];
-                c = 0;
-            }
-            if (deltas[j] == best)
-                cand[c++] = j;
-        }
-        b->count[l] = c;
-        b->delta[l] = best;
-        b->local_min[l] = b->plateau_is_local_min ? best >= 0 : best > 0;
-    }
+    for (int64_t k = 0; k < n; k++)
+        out[k] = counts[k] ? (double)draw_below(g, counts[k])
+                           : g->next_double(g->state);
 }
 
-/* Call 3: the rest of iteration `it`, in the scalar loop's order — freeze
- * marks, counters, the executed swaps (improving, or a local minimum Python
- * accepted) with the state and the cost following, best-so-far.  A lane
- * that must take a partial reset is named in resets[l] (ALL_FROZEN, or
- * REJECTED: a refused local minimum with more than reset_limit variables
- * frozen) and left to Python, which draws for it; its best-so-far waits for
- * the reset.  Returns how many there are. */
-int64_t lanes_apply(const lane_block *b, int64_t it)
+/* ------------------------------------------------------------------ */
+/* the walk                                                            */
+/* ------------------------------------------------------------------ */
+
+/* The scalar partial reset: reset_swaps random transpositions, two bounded
+ * draws each (csp.permutation.random_partial_reset), then the counter,
+ * cleared marks, and the state and the cost of the new row. */
+static void lane_reset(const lane_block *b, int64_t l, const bitgen_t *g)
+{
+    const int64_t n = b->n;
+    int64_t *v = b->configs + l * n;
+    for (int64_t s = 0; s < b->reset_swaps; s++) {
+        const int64_t i = draw_below(g, n);
+        exchange(v, i, draw_below(g, n));
+    }
+    b->stats[RESETS * b->m + l] += 1;
+    memset(b->marks + l * n, 0, (size_t)n * sizeof(int64_t));
+    lane_recost(b, l);
+    b->resets[l] = 1;
+}
+
+/* Iteration `it` of lane l, in the scalar loop's order. */
+static void lane_iterate(const lane_block *b, int64_t l, int64_t it)
 {
     const int64_t n = b->n, m = b->m;
-    int64_t n_resets = 0;
-    for (int64_t l = 0; l < m; l++) {
-        const int64_t i = b->i_sel[l], delta = b->delta[l];
-        int64_t *marks = b->marks + l * n, *stats = b->stats + l;
-        int moved = !b->local_min[l];
-        b->resets[l] = NO_RESET;
-        if (i < 0) {
-            b->resets[l] = ALL_FROZEN;
-            n_resets++;
+    const bitgen_t *g = (const bitgen_t *)(intptr_t)b->bitgen[l];
+    const int64_t *err = b->err + l * n, *deltas = b->deltas + l * n;
+    int64_t *marks = b->marks + l * n, *cand = b->cand + l * n;
+    int64_t *stats = b->stats + l;
+    int64_t worst = -1, best = INT64_MAX, c = 0;
+
+    /* the worst variable that is not frozen, a tie broken by one draw */
+    b->resets[l] = b->accept[l] = b->local_min[l] = 0;
+    lane_errors(b, l);
+    for (int64_t x = 0; x < n; x++) {
+        if (marks[x] >= it)
             continue;
+        if (err[x] > worst) {
+            worst = err[x];
+            c = 0;
         }
-        if (moved && b->freeze_swap > 0)
-            marks[i] = it + b->freeze_swap;
-        if (!moved) {
-            stats[LOCAL_MIN * m] += 1;
-            stats[FROZEN * m] += 1;
-            marks[i] = it + b->freeze_loc_min;
-            if (b->accept[l]) {
-                moved = 1;
-                stats[ACCEPTED * m] += 1;
-            } else {
-                int64_t frozen = 0;
-                for (int64_t x = 0; x < n; x++)
-                    frozen += marks[x] > it;
-                if (frozen > b->reset_limit) {
-                    b->resets[l] = REJECTED;
-                    n_resets++;
-                    continue;
-                }
-            }
+        if (err[x] == worst)
+            cand[c++] = x;
+    }
+    if (c == 0) { /* frozen solid: a reset, and no best-tracking */
+        b->i_sel[l] = -1;
+        lane_reset(b, l, g);
+        return;
+    }
+    const int64_t i = b->i_sel[l] = cand[draw_below(g, c)];
+
+    /* its best swap (never with itself), likewise */
+    lane_deltas(b, l, i);
+    c = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (j == i)
+            continue;
+        if (deltas[j] < best) {
+            best = deltas[j];
+            c = 0;
         }
-        if (moved) {
-            const int64_t j =
-                b->cand[l * n + (b->count[l] > 1 ? b->draw[l] : 0)];
-            stats[SWAPS * m] += 1;
-            stats[PLATEAU * m] += delta == 0;
-            if (b->freeze_swap > 0)
-                marks[j] = it + b->freeze_swap;
-            lane_swap(b, l, i, j);
-            b->cost[l] += (double)delta;
-        }
-        if (b->cost[l] < b->best_cost[l]) {
-            b->best_cost[l] = b->cost[l];
-            memcpy(b->best_configs + l * n, b->configs + l * n,
-                   (size_t)n * sizeof(int64_t));
+        if (deltas[j] == best)
+            cand[c++] = j;
+    }
+    b->count[l] = c;
+    b->delta[l] = best;
+    const int64_t j = cand[b->draw[l] = draw_below(g, c)];
+
+    /* freeze marks and counters; at a local minimum the acceptance draw,
+     * and a refused one with too many variables frozen resets */
+    int moved = b->plateau_is_local_min ? best < 0 : best <= 0;
+    if (moved && b->freeze_swap > 0)
+        marks[i] = it + b->freeze_swap;
+    if (!moved) {
+        b->local_min[l] = 1;
+        stats[LOCAL_MIN * m] += 1;
+        stats[FROZEN * m] += 1;
+        marks[i] = it + b->freeze_loc_min;
+        if (g->next_double(g->state) < b->prob_select_loc_min) {
+            b->accept[l] = moved = 1;
+            stats[ACCEPTED * m] += 1;
+        } else {
+            int64_t frozen = 0;
+            for (int64_t x = 0; x < n; x++)
+                frozen += marks[x] > it;
+            if (frozen > b->reset_limit)
+                lane_reset(b, l, g);
         }
     }
-    return n_resets;
+    if (moved) {
+        stats[SWAPS * m] += 1;
+        stats[PLATEAU * m] += best == 0;
+        if (b->freeze_swap > 0)
+            marks[j] = it + b->freeze_swap;
+        lane_swap(b, l, i, j);
+        b->cost[l] += (double)best;
+    }
+    if (b->cost[l] < b->best_cost[l]) {
+        b->best_cost[l] = b->cost[l];
+        memcpy(b->best_configs + l * n, b->configs + l * n,
+               (size_t)n * sizeof(int64_t));
+    }
+}
+
+/* Lock-step rounds from iteration `it` on: every lane runs one iteration a
+ * round, until the round in which a lane reaches target_cost or for
+ * `rounds` rounds.  Returns how many were run. */
+int64_t lanes_run(const lane_block *b, int64_t it, int64_t rounds)
+{
+    int64_t done = 0;
+    for (int solved = 0; done < rounds && !solved; done++)
+        for (int64_t l = 0; l < b->m; l++) {
+            lane_iterate(b, l, it + done);
+            solved |= b->cost[l] <= b->target_cost;
+        }
+    return done;
 }

@@ -11,10 +11,17 @@ inherit the mapping), never inside a job, and never by ``import repro`` or
 ``repro.cli``, which do not import ``repro.vector``.
 
 Nothing selects the outcome: a library that loads is used, and anything
-else — no compiler, an unusable cache directory, a failed build — leaves
-:data:`LOADED` without one and the engine on its NumPy round.  A failed
-build warns once, with the compiler's stderr; the other causes are quiet
-and :func:`kernel_backend` names them.
+else — no compiler, an unusable cache directory, a failed build, a failed
+handshake — leaves :data:`LOADED` without one and the engine on its NumPy
+round.  A failed build warns once, with the compiler's stderr; the other
+causes are quiet and :func:`kernel_backend` names them.
+
+The handshake: ``lanes.c`` mirrors one struct of ours (``lane_block``) and
+one algorithm of NumPy's — the bounded-integer map behind
+``Generator.integers``, which it runs on a lane's own bit generator.  Both
+are checked at load: the struct by size, the map draw for draw against this
+process's NumPy (:func:`_draws_differ`).  A NumPy that changes the map
+costs the speed, never a walk.
 
 The cache rule: the directory is created ``0700`` and is used only when it
 belongs to the caller and nobody else can write to it; a build is written
@@ -22,7 +29,7 @@ under a temporary name and moved into place with :func:`os.replace`, so two
 cold starters never see half a file; the only file ever loaded is the one
 whose name carries the hash of the source being imported.
 
-This module imports the standard library only.
+This module imports the standard library and NumPy only.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ import os
 import stat
 import warnings
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
-    "KernelBackend", "LaneBlock", "LOADED", "address", "kernel_backend",
-    "load_library",
+    "KernelBackend", "LaneBlock", "LOADED", "address", "bitgen_address",
+    "draws", "kernel_backend", "load_library",
 ]
 
 SOURCE = Path(__file__).with_name("lanes.c")
@@ -52,14 +61,16 @@ class LaneBlock(ctypes.Structure):
         *((name, ctypes.c_int64) for name in (
             "kind", "m", "n", "order", "state_size",
             "plateau_is_local_min", "freeze_swap", "freeze_loc_min",
-            "reset_limit",
+            "reset_limit", "reset_swaps",
         )),
+        ("prob_select_loc_min", ctypes.c_double),
+        ("target_cost", ctypes.c_double),
         *((name, ctypes.c_void_p) for name in (
             "configs", "marks", "best_configs", "stats",
             "cost", "best_cost",
             "state", "dirty", "err", "deltas", "cand",
             "count", "local_min", "draw", "accept",
-            "i_sel", "delta", "resets",
+            "i_sel", "delta", "resets", "bitgen",
         )),
     ]
 
@@ -70,6 +81,58 @@ def address(array) -> int:
     one keeps the array.  (Exporting the buffer costs a third of
     ``array.ctypes``, and refuses a read-only array, which C would write.)"""
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+# looked up by item: an attribute of ``pythonapi`` is one function object
+# shared with every other user of it in the process
+_capsule_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
+_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+_capsule_pointer.restype = ctypes.c_void_p
+
+
+def bitgen_address(generator: np.random.Generator) -> int:
+    """Where the ``bitgen_t`` of a generator's bit generator lives (NumPy's
+    documented interface for drawing from C).  An address keeps nothing
+    alive: whoever stores one keeps the generator.  (The capsule costs a
+    sixteenth of ``bit_generator.ctypes``.)"""
+    return _capsule_pointer(generator.bit_generator.capsule, b"BitGenerator")
+
+
+def draws(
+    lib: ctypes.CDLL, generator: np.random.Generator, counts: Sequence[int]
+) -> list[float]:
+    """What ``lanes.c`` draws from ``generator``, per entry of ``counts``:
+    ``integers(0, count)`` for a count in ``1 .. 2**32 - 1``, ``random()``
+    for a 0."""
+    if not all(0 <= count < 2**32 for count in counts):
+        raise ValueError("counts must be in 0 .. 2**32 - 1")
+    n = len(counts)
+    out = (ctypes.c_double * n)()
+    lib.lanes_draws(
+        bitgen_address(generator), (ctypes.c_int64 * n)(*counts), out, n
+    )
+    return list(out)
+
+
+#: the handshake's draws: every branch of the map (a range of one, small
+#: ranges, a lane-sized one, just past 16 and 31 bits where rejection is
+#: heaviest, the widest), ``random()`` in between, then a reset's pair
+_DRAW_TABLE = (1, 2, 3, 7, 0, 144, 2**16 + 1, 0, 2**31 + 1, 2**32 - 1, 0)
+
+
+def _draws_differ(lib: ctypes.CDLL) -> bool:
+    """Whether C's draws from a generator are not this NumPy's own."""
+    ours = np.random.Generator(np.random.PCG64(23))
+    theirs = np.random.Generator(np.random.PCG64(23))
+    expected = [
+        float(theirs.integers(0, count)) if count else theirs.random()
+        for count in _DRAW_TABLE
+    ]
+    expected += theirs.integers(0, 144, size=2).tolist()
+    return (
+        draws(lib, ours, _DRAW_TABLE + (144, 144)) != expected
+        or ours.bit_generator.state != theirs.bit_generator.state
+    )
 
 
 class Loaded(NamedTuple):
@@ -150,9 +213,8 @@ def _bind(lib: ctypes.CDLL) -> None:
         ("lanes_costs", (block,), None),
         ("lanes_errors", (block,), None),
         ("lanes_deltas", (block,), None),
-        ("lanes_worst", (block, ctypes.c_int64), None),
-        ("lanes_best_swap", (block,), None),
-        ("lanes_apply", (block, ctypes.c_int64), ctypes.c_int64),
+        ("lanes_draws", (ctypes.c_void_p,) * 3 + (ctypes.c_int64,), None),
+        ("lanes_run", (block, ctypes.c_int64, ctypes.c_int64), ctypes.c_int64),
     ):
         function = getattr(lib, name)
         function.argtypes = argtypes
@@ -179,6 +241,10 @@ def load_library(source: Path = SOURCE) -> Loaded:
         _bind(lib)
     except OSError as err:
         return Loaded(None, None, f"{type(err).__name__}: {err}")
+    if _draws_differ(lib):
+        return Loaded(
+            None, None, "draws differ from this NumPy's Generator.integers"
+        )
     return Loaded(lib, target, "")
 
 

@@ -57,8 +57,9 @@ Batched swap-delta kernels (NumPy)
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Any, Callable, Optional, Type
+from typing import Any, Callable, Optional, Sequence, Type
 
 import numpy as np
 
@@ -590,7 +591,7 @@ _COMPILED: dict[Type[Problem], Callable[[Problem], tuple[int, int, int]]] = {
 #: :class:`CompiledLanes` lays them out behind its matrices
 _VECTORS = (
     "dirty", "count", "local_min", "draw", "accept", "i_sel", "delta",
-    "resets",
+    "resets", "bitgen",
 )
 
 
@@ -613,11 +614,12 @@ class CompiledLanes(VectorProblem):
     It owns what the C side works in — every lane's derived state, the
     ``(k, n)`` scratch, the hand-off vectors — and describes all of it,
     with the engine's own arrays once :meth:`bind` has been given them, in
-    one :class:`~repro.vector.native.LaneBlock`.  The engine runs a whole
-    round as three calls on that block (``VectorWalkEngine._compiled_round``)
-    and the state follows its swaps inside the third; a row rewritten from
-    Python is reported through :meth:`notify_rows` and rebuilt before it is
-    next read.
+    one :class:`~repro.vector.native.LaneBlock`.  The engine advances the
+    batch with one call on that block (``lanes_run``: rounds of whole
+    iterations, each lane drawing from the generator :meth:`bind` gave it)
+    and the state follows every swap and reset inside it; a row rewritten
+    from Python is reported through :meth:`notify_rows` and rebuilt before
+    it is next read.
 
     The class also answers the :class:`VectorProblem` protocol, one kernel
     per call, which is how ``tests/vector/test_kernels.py`` holds the C
@@ -638,27 +640,26 @@ class CompiledLanes(VectorProblem):
         n = self.n
         self.lib = lib
         # one allocation — the state, the three (k, n) matrices, then the
-        # eight per-lane vectors — and one address: an engine is built per
+        # per-lane vectors — and one address: an engine is built per
         # one-walk slice and rebuilt at every retirement, so set-up is on
         # the path
         matrices = k * state_size
         vectors = matrices + 3 * k * n
-        self._buffer = buffer = np.zeros(vectors + 8 * k, dtype=np.int64)
+        self._buffer = buffer = np.zeros(
+            vectors + len(_VECTORS) * k, dtype=np.int64
+        )
         self._state = buffer[:matrices].reshape(k, state_size)
         self._err, self._deltas, self._cand = buffer[matrices:vectors].reshape(
             3, k, n
         )
-        per_lane = buffer[vectors:].reshape(8, k)
+        per_lane = buffer[vectors:].reshape(len(_VECTORS), k)
         self._dirty = per_lane[0]
         self._dirty[:] = 1
-        #: out of a call, per lane: candidates tied for the extremum; is
-        #: the lane at a local minimum
-        self.pending = per_lane[1:3]
-        #: into the next call, per lane: the tie's draw; was the
-        #: local-minimum move accepted
-        self.answers = per_lane[3:5]
-        #: after ``lanes_apply``: why a lane needs a partial reset (0: none)
-        self._i_sel, self._delta, self.resets = per_lane[5:]
+        #: the last round of ``lanes_run``, per lane: (at a local minimum?,
+        #: the swap tie's draw, the move accepted?)
+        self._last_round = per_lane[2:5]
+        #: ... and whether the lane took a partial reset in it
+        self._i_sel, self._delta, self.resets, self._bitgen = per_lane[5:]
         state = native.address(buffer)
         err = state + 8 * matrices
         self.block = native.LaneBlock(
@@ -683,15 +684,22 @@ class CompiledLanes(VectorProblem):
         best_configs: np.ndarray,
         stats: np.ndarray,
         config: Any,
+        rngs: Sequence[np.random.Generator],
     ) -> None:
-        """Point the block at the engine's arrays and solver parameters."""
+        """Point the block at the engine's arrays, its solver parameters
+        and each lane's generator (which the caller leaves alone while
+        ``lanes_run`` runs)."""
         k, n = self.k, self.n
+        if len(rngs) != k:
+            raise ValueError(f"got {len(rngs)} generators for {k} lanes")
         for array in (configs, marks, best_configs):
             _require(array, np.int64, (k, n))
         _require(stats, np.int64, (7, k))
         for array in (cost, best_cost):
             _require(array, np.float64, (k,))
-        self._bound = (configs, marks, cost, best_cost, best_configs, stats)
+        self._bound = (
+            configs, marks, cost, best_cost, best_configs, stats, rngs
+        )
         self._configs = configs
         block = self.block
         block.configs = native.address(configs)
@@ -704,14 +712,20 @@ class CompiledLanes(VectorProblem):
         block.freeze_swap = int(config.freeze_swap)
         block.freeze_loc_min = int(config.freeze_loc_min)
         block.reset_limit = int(config.reset_limit)
+        # csp.permutation.random_partial_reset's count, to the float
+        block.reset_swaps = max(1, math.ceil(config.reset_fraction * n / 2.0))
+        block.prob_select_loc_min = config.prob_select_loc_min
+        block.target_cost = config.target_cost
+        bitgen = self._bitgen
+        for lane, rng in enumerate(rngs):
+            bitgen[lane] = native.bitgen_address(rng)
 
     def moves(self) -> tuple[list[int], list[int], list[int]]:
-        """What the round that ``lanes_apply`` just finished did, per lane,
-        as an observer of the iteration is told it: the variable selected
-        (-1: every variable frozen, nothing selected), the partner it was
+        """What the last round of ``lanes_run`` did, per lane, as an
+        observer of the iteration is told it: the variable selected (-1:
+        every variable frozen, nothing selected), the partner it was
         swapped with (-1: no swap executed) and the selection's delta."""
-        _, local_min = self.pending.tolist()
-        draw, accepted = self.answers.tolist()
+        local_min, draw, accepted = self._last_round.tolist()
         partner = self._cand.item
         executed = [
             partner(lane, draw[lane])
@@ -752,7 +766,7 @@ class CompiledLanes(VectorProblem):
         flat_j: np.ndarray,
         configs: np.ndarray,
     ) -> None:
-        # only the fused round (lanes_apply) follows a swap incrementally
+        # only lanes_run follows a swap incrementally
         self._dirty[lanes] = 1
 
     def notify_rows(self, lanes: "list[int]", configs: np.ndarray) -> None:

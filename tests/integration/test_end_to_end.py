@@ -20,7 +20,9 @@ def costas_samples(tmp_path_factory):
     from repro.harness.cache import SampleCache
 
     cache = SampleCache(tmp_path_factory.mktemp("cache"))
-    spec = BenchmarkSpec("costas", {"n": 9})
+    # large enough that a walk's wall time is its iterations: on a compiled
+    # lane (~1 us an iteration) a costas-9 walk is half fixed set-up
+    spec = BenchmarkSpec("costas", {"n": 12})
     cfg = AdaptiveSearchConfig(max_iterations=500_000)
     return collect_samples(spec, 50, seed=0, solver_config=cfg, cache=cache)
 
