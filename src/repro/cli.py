@@ -44,8 +44,9 @@ middle of a job.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,24 +96,37 @@ def _solver_config(args: argparse.Namespace) -> AdaptiveSearchConfig:
     return AdaptiveSearchConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def _forward_termination_signals() -> None:
-    """Make SIGTERM (and SIGINT explicitly) raise ``KeyboardInterrupt``.
+@contextlib.contextmanager
+def _forward_termination_signals() -> Iterator[None]:
+    """Make SIGTERM (and SIGINT explicitly) raise ``KeyboardInterrupt``
+    for the length of a command, then restore the handlers it replaced.
 
-    Long-running commands (``service``, ``coordinator``, ``node``) get one
-    cleanup path for both signals: Ctrl-C and ``kill <pid>`` both unwind
-    through the command's ``except KeyboardInterrupt`` handler, which shuts
-    pools down and reaps worker processes instead of orphaning them.
+    Long-running commands (``service``, ``coordinator``, ``node``,
+    ``gateway``) get one cleanup path for both signals: Ctrl-C and
+    ``kill <pid>`` both unwind through the command's
+    ``except KeyboardInterrupt`` handler, which shuts pools down and reaps
+    worker processes instead of orphaning them.  Used as a decorator on
+    those commands, so nothing the process does after one returns (a test
+    run, a pool forked later) inherits the handler; the pool's workers
+    reset both signals themselves (``service_worker_main``).
     """
     import signal
 
     def _raise(signum: int, frame: object) -> None:
         raise KeyboardInterrupt
 
+    replaced = {}
     try:
-        signal.signal(signal.SIGTERM, _raise)
-        signal.signal(signal.SIGINT, _raise)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            replaced[signum] = signal.signal(signum, _raise)
     except ValueError:  # pragma: no cover - not the main thread (tests)
         pass
+    try:
+        yield
+    finally:
+        for signum, handler in replaced.items():
+            # None: a handler not installed from Python; the default then
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
 
 
 def _configure_tracing(args: argparse.Namespace, proc: str) -> None:
@@ -352,6 +366,7 @@ def _log_lane_kernels() -> None:
     print(f"lane kernels: {name}{reason}", file=sys.stderr, flush=True)
 
 
+@_forward_termination_signals()
 def cmd_service(args: argparse.Namespace) -> int:
     """Batch front-end: run many solve jobs on one warm worker pool."""
     from repro.service import (
@@ -381,7 +396,6 @@ def cmd_service(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _forward_termination_signals()
     _log_lane_kernels()
     service = SolverService(
         n_workers=args.workers,
@@ -416,13 +430,13 @@ def cmd_service(args: argparse.Namespace) -> int:
     return 0 if not unsolved else 1
 
 
+@_forward_termination_signals()
 def cmd_coordinator(args: argparse.Namespace) -> int:
     """Run the cluster coordinator (leader, or hot standby) until interrupted."""
     import asyncio
 
     from repro.net import Coordinator
 
-    _forward_termination_signals()
     _configure_tracing(args, "coordinator")
     predictor = None
     if args.autoscale:
@@ -538,6 +552,7 @@ def _run_standby(args: argparse.Namespace, predictor) -> int:
     return 0
 
 
+@_forward_termination_signals()
 def cmd_node(args: argparse.Namespace) -> int:
     """Run one node agent against a coordinator until interrupted.
 
@@ -552,7 +567,6 @@ def cmd_node(args: argparse.Namespace) -> int:
     from repro.errors import NetError
     from repro.net import NodeAgent, parse_addresses
 
-    _forward_termination_signals()
     addresses = parse_addresses(args.connect)
     _configure_tracing(args, args.name or "node")
     _log_lane_kernels()
@@ -631,6 +645,7 @@ def cmd_node(args: argparse.Namespace) -> int:
     return 0
 
 
+@_forward_termination_signals()
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Run the solve-as-a-service HTTP/WebSocket gateway until interrupted."""
     import asyncio
@@ -644,7 +659,6 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     from repro.net import parse_address
     from repro.telemetry.recorder import get_recorder
 
-    _forward_termination_signals()
     _configure_tracing(args, "gateway")
     coordinator = parse_address(args.connect)
     if args.keys is not None:

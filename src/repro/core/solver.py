@@ -19,10 +19,12 @@ One iteration of the method:
 The loop exists twice, as one walk bit for bit.  Where the compiled lane
 kernels are loaded and cover the problem
 (:func:`repro.vector.lane_kernel` answers ``"compiled"``: magic-square,
-all-interval and Costas on a host with a C compiler) :meth:`AdaptiveSearch.solve`
-runs the walk as a one-lane batch of
-:class:`repro.vector.engine.VectorWalkEngine`; everywhere else — the other
-families, every declarative model, a host without the library — it runs
+all-interval and Costas, and every declarative model whose constraints are
+all linear rows with coefficients ``+-1`` and integer right-hand sides, on a
+host with a C compiler) :meth:`AdaptiveSearch.solve` runs the walk as a
+one-lane batch of :class:`repro.vector.engine.VectorWalkEngine`; everywhere
+else — the other families, every other declarative model, a host without
+the library — it runs
 :class:`repro.core.session.AdaptiveSearchSession`, the resumable form the
 cooperative runtime and checkpointing also step, and the independent witness
 the lane is tested against (``AdaptiveSearch(cfg).session(problem,

@@ -6,23 +6,25 @@ structure can be declared per variable array; the
 :class:`~repro.problems.base.ModelProblem` adapter then exposes the model to
 the solver through the incremental problem protocol.
 
-Two tables are compiled from the constraint list at first use (and again
-after :meth:`Model.add_constraint`): the CSR variable→constraint incidence
-and the *linear block* — every :class:`LinearConstraint` stacked into one
+Tables are compiled from the constraint list at first use (and again
+after :meth:`Model.add_constraint`): the CSR variable→constraint incidence;
+the *linear block* — every :class:`LinearConstraint` stacked into one
 coefficient matrix, so that the swap kernels evaluate all of them in a
-handful of array operations instead of one Python call per constraint.
-Both are derived, hence never pickled.
+handful of array operations instead of one Python call per constraint; and,
+for a model that is nothing but ``+-1`` rows with integer right-hand sides,
+the same system as one integer table for the compiled lanes
+(:attr:`Model.unit_linear_table`).  All are derived, hence never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.csp.constraints import Constraint, LinearConstraint
+from repro.csp.constraints import Constraint, LinearConstraint, Relation
 from repro.csp.domain import Domain
 from repro.csp.variables import VariableArray
 from repro.errors import ModelError
@@ -207,6 +209,45 @@ class Model:
     @cached_property
     def _linear(self) -> _LinearBlock:
         return _LinearBlock.compile(self.constraints, self._n_variables)
+
+    @cached_property
+    def unit_linear_table(self) -> Optional[np.ndarray]:
+        """The model as one integer system of ``+-1`` rows, or ``None``.
+
+        Defined when every constraint is a :class:`LinearConstraint` whose
+        coefficients are all ``+-1`` and whose right-hand side is an
+        integer: then every row's ``variable_errors`` projection is its
+        error, unweighted (``weights * scale`` is exactly 1), so integer
+        arithmetic reproduces the float kernels bit for bit.  One int64
+        array, ``[rows, rhs[rows], relation[rows], start[n + 1],
+        row[nnz], coef[nnz]]`` — the relation as its index in
+        :class:`~repro.csp.constraints.Relation`, and variable ``x``'s rows
+        and coefficients at ``start[x] .. start[x + 1]`` — is
+        what the ``LINEAR`` kind of ``repro/vector/lanes.c`` reads.
+        """
+        constraints = self.constraints
+        if not constraints:
+            return None
+        for constraint in constraints:
+            if not (
+                isinstance(constraint, LinearConstraint)
+                and np.all(np.abs(constraint.coefficients) == 1.0)
+                and constraint.rhs.is_integer()
+                and abs(constraint.rhs) < 2**53
+            ):
+                return None
+        start, rows = self.incidence_index()
+        variables = np.repeat(np.arange(self._n_variables), np.diff(start))
+        relations = tuple(Relation)
+        head = [len(constraints)]
+        head += [int(constraint.rhs) for constraint in constraints]
+        head += [relations.index(constraint.relation) for constraint in constraints]
+        return np.concatenate([
+            np.asarray(head, dtype=np.int64),
+            start,
+            rows,
+            self._linear.coefficients[rows, variables].astype(np.int64),
+        ])
 
     def incidence_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Compiled variable→constraint incidence in CSR form.

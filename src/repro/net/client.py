@@ -519,9 +519,11 @@ class ClusterClient:
             # waiters (not replayable), then redial and resubmit jobs
             self._connected.clear()
             with self._state_lock:
-                self._sock = None
+                dead, self._sock = self._sock, None
                 stats_waiters = list(self._stats_waiters.values())
                 self._stats_waiters.clear()
+            if dead is not None:
+                dead.close()  # the dead connection's file descriptor
             for event, _ in stats_waiters:
                 event.set()
             if not self._reconnect():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -34,7 +35,11 @@ from typing import Any, Optional
 from repro.errors import ParallelError
 from repro.parallel.shm import SharedProblemStore
 from repro.problems.base import Problem
-from repro.service.worker import WalkTask, service_worker_main
+from repro.service.worker import (
+    TERMINATION_SIGNALS,
+    WalkTask,
+    service_worker_main,
+)
 
 __all__ = ["WorkerPool", "CancelToken"]
 
@@ -126,7 +131,14 @@ class WorkerPool:
             daemon=True,
             name=f"repro-service-worker-{worker_id}",
         )
-        process.start()
+        # blocked across the fork: the child resets both to their defaults
+        # before it unblocks them, so neither can land on a handler this
+        # process installed (the CLI's) while the child boots
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, TERMINATION_SIGNALS)
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
         return _WorkerHandle(
             worker_id=worker_id,
             process=process,

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -321,6 +322,10 @@ def _run_task(
     return payload
 
 
+#: reset to their defaults by every worker (see ``service_worker_main``)
+TERMINATION_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
 def service_worker_main(
     worker_id: int,
     inbox: Any,
@@ -335,6 +340,12 @@ def service_worker_main(
     the retry decision belongs to the scheduler.  Only killing the process
     (or shutdown) ends the loop.
     """
+    # whatever handlers the forking process had (the CLI's turn both
+    # signals into KeyboardInterrupt), a worker dies of SIGTERM / SIGINT;
+    # the pool blocks them across the fork, so none lands before this
+    for signum in TERMINATION_SIGNALS:
+        signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, TERMINATION_SIGNALS)
     problems: dict[int, Any] = {}
     attachments: list[Any] = []
     while True:

@@ -22,17 +22,27 @@
  *   magic square   the 2s + 2 line sums, less the magic constant
  *   all-interval   counts[v]: adjacent differences of absolute value v
  *   costas         counts[d][v + n - 1]: pairs at distance d differing by v
+ *   linear         per row r of a declarative model whose every
+ *                  constraint is a linear row with coefficients +-1 and
+ *                  an integer right-hand side: its left-hand side, its
+ *                  error, and a scratch for the selected variable's
+ *                  coefficient on it
  *
  * The two count-table families price a swap by moving the differences it
  * changes between buckets (each single move changes the cost by an exact
- * -1 / 0 / +1) and, for a probe, moving them back.
+ * -1 / 0 / +1) and, for a probe, moving them back.  The linear kind reads a
+ * constant table shared by every lane of an engine (per row its rhs and
+ * relation, per variable its rows and coefficients); a variable's error is
+ * the sum of its rows' errors, and a swap of i and j moves each row that
+ * touches them by (c_ri - c_rj)(v[j] - v[i]), so a probe re-prices those
+ * rows only.
  *
  * Plain C99, one translation unit, no Python.h.
  */
 #include <stdint.h>
 #include <string.h>
 
-enum { MAGIC_SQUARE = 0, ALL_INTERVAL = 1, COSTAS = 2 };
+enum { MAGIC_SQUARE = 0, ALL_INTERVAL = 1, COSTAS = 2, LINEAR = 3 };
 
 /* rows of the engine's (7, m) counter array (engine._STAT_FIELDS) */
 enum { SWAPS, PLATEAU, ACCEPTED, LOCAL_MIN, FROZEN, RESETS };
@@ -60,6 +70,8 @@ typedef struct {
     /* derived state, and which lanes must rebuild theirs */
     int64_t *state; /* (m, state_size) */
     int64_t *dirty; /* (m,) */
+    /* constant for an engine: the LINEAR kind's table (see linear_view) */
+    const int64_t *table;
     /* scratch */
     int64_t *err, *deltas, *cand; /* (m, n) */
     /* the last round, as an observer of it is told: swap partners tied for
@@ -312,6 +324,129 @@ static int64_t costas_shift(const int64_t *v, int64_t *counts, int64_t n,
 }
 
 /* ------------------------------------------------------------------ */
+/* linear rows: a declarative model of +-1 rows                        */
+/* ------------------------------------------------------------------ */
+
+/* relations, in csp.constraints.Relation's order */
+enum { EQ, NE, LE, LT, GE, GT };
+
+/* The table, one int64 array (csp.model.Model.unit_linear_table):
+ * [rows, rhs[rows], relation[rows], start[n + 1], row[nnz], coef[nnz]];
+ * variable x is in rows row[start[x] .. start[x + 1]), with coefficients
+ * coef[...] of +-1. */
+typedef struct {
+    const int64_t *rhs, *relation, *start, *row, *coef;
+    int64_t rows;
+} linear_table;
+
+static linear_table linear_view(const int64_t *table, int64_t n)
+{
+    linear_table t;
+    t.rows = table[0];
+    t.rhs = table + 1;
+    t.relation = t.rhs + t.rows;
+    t.start = t.relation + t.rows;
+    t.row = t.start + n + 1;
+    t.coef = t.row + t.start[n];
+    return t;
+}
+
+/* csp.error_functions, for an integer left-hand side */
+static inline int64_t row_error(const linear_table *t, int64_t r, int64_t lhs)
+{
+    const int64_t d = lhs - t->rhs[r];
+    switch (t->relation[r]) {
+    case EQ: return iabs(d);
+    case NE: return d == 0;
+    case LE: return d > 0 ? d : 0;
+    case LT: return d >= 0 ? d + 1 : 0;
+    case GE: return d < 0 ? -d : 0;
+    default: return d <= 0 ? 1 - d : 0; /* GT */
+    }
+}
+
+/* A lane's state is three rows-long vectors: lhs, the rows' errors, and a
+ * scratch that holds the selected variable's coefficient per row while its
+ * deltas are priced (zero otherwise). */
+static void linear_rebuild(const int64_t *v, const linear_table *t, int64_t n,
+                           int64_t *lhs)
+{
+    int64_t *err = lhs + t->rows;
+    memset(lhs, 0, (size_t)(3 * t->rows) * sizeof(int64_t));
+    for (int64_t x = 0; x < n; x++)
+        for (int64_t k = t->start[x]; k < t->start[x + 1]; k++)
+            lhs[t->row[k]] += t->coef[k] * v[x];
+    for (int64_t r = 0; r < t->rows; r++)
+        err[r] = row_error(t, r, lhs[r]);
+}
+
+static int64_t linear_cost(const int64_t *lhs, const linear_table *t)
+{
+    const int64_t *err = lhs + t->rows;
+    int64_t cost = 0;
+    for (int64_t r = 0; r < t->rows; r++)
+        cost += err[r];
+    return cost;
+}
+
+static void linear_errors(const int64_t *lhs, const linear_table *t,
+                          int64_t n, int64_t *out)
+{
+    const int64_t *err = lhs + t->rows;
+    for (int64_t x = 0; x < n; x++) {
+        int64_t e = 0;
+        for (int64_t k = t->start[x]; k < t->start[x + 1]; k++)
+            e += err[t->row[k]];
+        out[x] = e;
+    }
+}
+
+/* Swapping i and j moves a row by (c_ri - c_rj) dv (dv = v[j] - v[i], a
+ * coefficient 0 off the row).  Per j: i's rows as if j were on none of
+ * them, then each of j's rows, which on a row of i replaces that guess. */
+static void linear_deltas(const int64_t *v, int64_t *lhs,
+                          const linear_table *t, int64_t n, int64_t i,
+                          int64_t *out)
+{
+    const int64_t *row = t->row, *coef = t->coef, *err = lhs + t->rows;
+    const int64_t i_first = t->start[i], i_end = t->start[i + 1], vi = v[i];
+    int64_t *ci = lhs + 2 * t->rows;
+    for (int64_t a = i_first; a < i_end; a++)
+        ci[row[a]] = coef[a];
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t dv = v[j] - vi;
+        int64_t delta = 0;
+        for (int64_t a = i_first; a < i_end; a++) {
+            const int64_t r = row[a];
+            delta += row_error(t, r, lhs[r] + coef[a] * dv) - err[r];
+        }
+        for (int64_t b = t->start[j]; b < t->start[j + 1]; b++) {
+            const int64_t r = row[b], c = ci[r];
+            delta += row_error(t, r, lhs[r] + (c - coef[b]) * dv)
+                     - (c ? row_error(t, r, lhs[r] + c * dv) : err[r]);
+        }
+        out[j] = delta;
+    }
+    for (int64_t a = i_first; a < i_end; a++)
+        ci[row[a]] = 0;
+}
+
+static void linear_swap(const int64_t *v, int64_t *lhs, const linear_table *t,
+                        int64_t i, int64_t j)
+{
+    const int64_t dv = v[j] - v[i];
+    int64_t *err = lhs + t->rows;
+    for (int64_t k = t->start[i]; k < t->start[i + 1]; k++)
+        lhs[t->row[k]] += t->coef[k] * dv;
+    for (int64_t k = t->start[j]; k < t->start[j + 1]; k++)
+        lhs[t->row[k]] -= t->coef[k] * dv;
+    for (int64_t k = t->start[i]; k < t->start[i + 1]; k++)
+        err[t->row[k]] = row_error(t, t->row[k], lhs[t->row[k]]);
+    for (int64_t k = t->start[j]; k < t->start[j + 1]; k++)
+        err[t->row[k]] = row_error(t, t->row[k], lhs[t->row[k]]);
+}
+
+/* ------------------------------------------------------------------ */
 /* one lane, whatever the family                                       */
 /* ------------------------------------------------------------------ */
 static void lane_rebuild(const lane_block *b, int64_t l)
@@ -321,6 +456,11 @@ static void lane_rebuild(const lane_block *b, int64_t l)
     switch (b->kind) {
     case MAGIC_SQUARE: magic_rebuild(v, b->order, state); break;
     case ALL_INTERVAL: interval_rebuild(v, b->n, state); break;
+    case LINEAR: {
+        const linear_table t = linear_view(b->table, b->n);
+        linear_rebuild(v, &t, b->n, state);
+        break;
+    }
     default: costas_rebuild(v, b->n, state); break;
     }
     b->dirty[l] = 0;
@@ -330,10 +470,18 @@ static void lane_rebuild(const lane_block *b, int64_t l)
 static void lane_recost(const lane_block *b, int64_t l)
 {
     const int64_t *state = b->state + l * b->state_size;
+    int64_t cost;
     lane_rebuild(b, l);
-    b->cost[l] = (double)(b->kind == MAGIC_SQUARE
-                              ? magic_cost(state, b->order)
-                              : table_cost(state, b->state_size));
+    switch (b->kind) {
+    case MAGIC_SQUARE: cost = magic_cost(state, b->order); break;
+    case LINEAR: {
+        const linear_table t = linear_view(b->table, b->n);
+        cost = linear_cost(state, &t);
+        break;
+    }
+    default: cost = table_cost(state, b->state_size); break;
+    }
+    b->cost[l] = (double)cost;
 }
 
 static void lane_errors(const lane_block *b, int64_t l)
@@ -346,6 +494,11 @@ static void lane_errors(const lane_block *b, int64_t l)
     switch (b->kind) {
     case MAGIC_SQUARE: magic_errors(state, b->order, err); break;
     case ALL_INTERVAL: interval_errors(v, state, b->n, err); break;
+    case LINEAR: {
+        const linear_table t = linear_view(b->table, b->n);
+        linear_errors(state, &t, b->n, err);
+        break;
+    }
     default: costas_errors(v, state, b->n, err); break;
     }
 }
@@ -359,6 +512,11 @@ static void lane_deltas(const lane_block *b, int64_t l, int64_t i)
     int64_t *out = b->deltas + l * n;
     if (b->kind == MAGIC_SQUARE) {
         magic_deltas(v, state, b->order, i, out);
+        return;
+    }
+    if (b->kind == LINEAR) {
+        const linear_table t = linear_view(b->table, n);
+        linear_deltas(v, state, &t, n, i, out);
         return;
     }
     for (int64_t j = 0; j < n; j++) {
@@ -382,6 +540,11 @@ static void lane_swap(const lane_block *b, int64_t l, int64_t i, int64_t j)
     switch (b->kind) {
     case MAGIC_SQUARE: magic_swap(v, state, b->order, i, j); break;
     case ALL_INTERVAL: interval_shift(v, state, b->n, i, j, 0); break;
+    case LINEAR: {
+        const linear_table t = linear_view(b->table, b->n);
+        linear_swap(v, state, &t, i, j);
+        break;
+    }
     default: costas_shift(v, state, b->n, i, j, 0); break;
     }
     exchange(v, i, j);

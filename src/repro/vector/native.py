@@ -68,7 +68,7 @@ class LaneBlock(ctypes.Structure):
         *((name, ctypes.c_void_p) for name in (
             "configs", "marks", "best_configs", "stats",
             "cost", "best_cost",
-            "state", "dirty", "err", "deltas", "cand",
+            "state", "dirty", "table", "err", "deltas", "cand",
             "count", "local_min", "draw", "accept",
             "i_sel", "delta", "resets", "bitgen",
         )),

@@ -29,9 +29,15 @@ Compiled kernels
 default-constructed engine runs magic-square, all-interval and Costas lanes
 on it — every family keeps its state incrementally there (a count table
 costs nothing to follow one swap at a time in C), in 64-bit integers, so
-there is no ``MAX_N``.  The NumPy adapters below stay as they were: they
-are the lane path wherever the library is not loaded, and the reference it
-is tested against.  :func:`lane_kernel` says which a problem gets.
+there is no ``MAX_N`` — and so does a declarative model that is nothing but
+``+-1`` linear rows with integer right-hand sides (an exact
+:class:`~repro.problems.base.ModelProblem`; its ``LINEAR`` kind reads
+:attr:`~repro.csp.model.Model.unit_linear_table`).  Such a model has no
+NumPy adapter: without the library its lanes are the per-lane fallback, and
+``solve`` steps the session.  The NumPy adapters below stay as they were:
+they are the lane path wherever the library is not loaded, and the
+reference it is tested against.  :func:`lane_kernel` says which a problem
+gets.
 
 Batched swap-delta kernels (NumPy)
 ----------------------------------
@@ -64,7 +70,7 @@ from typing import Any, Callable, Optional, Sequence, Type
 import numpy as np
 
 from repro.problems.all_interval import AllIntervalProblem
-from repro.problems.base import Problem
+from repro.problems.base import ModelProblem, Problem
 from repro.problems.costas import CostasProblem
 from repro.problems.magic_square import MagicSquareProblem
 from repro.vector import native
@@ -579,12 +585,27 @@ class ScalarLaneFallback(VectorProblem):
 # ----------------------------------------------------------------------
 # compiled kernels
 # ----------------------------------------------------------------------
+#: the ``LINEAR`` kind of ``lanes.c``
+_LINEAR = 3
+
 #: problem type -> (kind, order, state_size) of ``lanes.c`` for an instance
 _COMPILED: dict[Type[Problem], Callable[[Problem], tuple[int, int, int]]] = {
     MagicSquareProblem: lambda p: (0, p.order, 2 * p.order + 2),
     AllIntervalProblem: lambda p: (1, 0, p.size),
     CostasProblem: lambda p: (2, 0, p.size * (2 * p.size - 1)),
+    # per row: its lhs, its error, the selected variable's coefficient
+    ModelProblem: lambda p: (_LINEAR, 0, 3 * int(p.model.unit_linear_table[0])),
 }
+
+
+def _has_compiled_kind(problem: Problem) -> bool:
+    """Whether ``lanes.c`` has a kind for ``problem``: every instance of the
+    three families, and a declarative model (an exact ``ModelProblem``)
+    that is nothing but ``+-1`` rows — one attribute read once its model
+    has been asked (:attr:`~repro.csp.model.Model.unit_linear_table`)."""
+    if type(problem) is ModelProblem:
+        return problem.model.unit_linear_table is not None
+    return type(problem) in _COMPILED
 
 
 #: the per-lane vectors of a ``LaneBlock``, in the order
@@ -636,9 +657,15 @@ class CompiledLanes(VectorProblem):
             raise ValueError(
                 f"no compiled lane kernels: {native.LOADED.error}"
             )
+        if not _has_compiled_kind(problem):
+            raise ValueError(f"lanes.c has no kernels for {problem.name}")
         kind, order, state_size = _COMPILED[type(problem)](problem)
         n = self.n
         self.lib = lib
+        #: the LINEAR kind's table, held: the block keeps only its address
+        self._table = (
+            problem.model.unit_linear_table if kind == _LINEAR else None
+        )
         # one allocation — the state, the three (k, n) matrices, then the
         # per-lane vectors — and one address: an engine is built per
         # one-walk slice and rebuilt at every retirement, so set-up is on
@@ -665,6 +692,7 @@ class CompiledLanes(VectorProblem):
         self.block = native.LaneBlock(
             kind=kind, m=k, n=n, order=order, state_size=state_size,
             state=state, err=err, deltas=err + 8 * k * n,
+            table=None if self._table is None else native.address(self._table),
             cand=err + 16 * k * n,
             **{
                 field: state + 8 * (vectors + k * index)
@@ -819,9 +847,10 @@ def _batched_adapter(problem: Problem) -> Optional[Type[VectorProblem]]:
 def lane_kernel(problem: Problem) -> str:
     """What a lane batch of ``problem`` runs on in this process:
     ``"compiled"`` (``lanes.c`` is loaded and has the problem's kernels, at
-    any order), ``"numpy"`` (a registered adapter's fast path fits), else
+    any order: the three families, and declarative models of ``+-1``
+    linear rows), ``"numpy"`` (a registered adapter's fast path fits), else
     ``"scalar"`` (the per-lane fallback: lanes buy nothing)."""
-    if native.LOADED.lib is not None and type(problem) in _COMPILED:
+    if native.LOADED.lib is not None and _has_compiled_kind(problem):
         return "compiled"
     if _batched_adapter(problem) is not None:
         return "numpy"

@@ -76,7 +76,9 @@ class EngineSpy:
 
 class TestTheOneDecision:
     @needs_compiled
-    @pytest.mark.parametrize("family,n", SHAPES + [("costas", 34)])
+    @pytest.mark.parametrize(
+        "family,n", SHAPES + [("costas", 34), ("magic_square_model", 4)]
+    )
     def test_a_compiled_family_runs_as_one_lane(self, monkeypatch, family, n):
         spy = EngineSpy(monkeypatch)
         config = AdaptiveSearchConfig(max_iterations=50)
@@ -86,7 +88,7 @@ class TestTheOneDecision:
 
     @pytest.mark.parametrize(
         "family,params",
-        [("magic_square_model", {"n": 4}), ("queens", {"n": 12})],
+        [("queens_model", {"n": 8}), ("queens", {"n": 12})],
     )
     def test_every_other_problem_steps_the_session(
         self, monkeypatch, family, params

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import AdaptiveSearchConfig
+from repro.parallel import MultiWalkSolver
 from repro.problems import make_problem
 from repro.service import Job, SolverService
 from repro.telemetry.events import TraceContext
@@ -52,14 +53,23 @@ class TestDispatchNamesItsKernel:
         """A one-walk slice is ``AdaptiveSearch.solve``: one compiled lane
         for a problem ``lanes.c`` covers, the scalar session for a problem
         without lane kernels at any width — and on a host without the
-        library for both (a NumPy round at k = 1 loses to the session)."""
+        library for both (a NumPy round at k = 1 loses to the session).
+
+        Every walk must be dispatched: no walk of either job may solve
+        inside the budget, or first-wins ends the job before its last
+        dispatch — checked on the inline executor, whose walk ``i`` is the
+        pool's walk ``i``."""
         compiled = kernel_backend().name == "compiled"
         for problem, n_walkers, lanes, kernel in (
             (make_problem("magic_square", n=6), 2, *(
                 (1, "compiled") if compiled else (0, "scalar")
             )),
-            (make_problem("queens", n=20), 6, 0, "scalar"),
+            (make_problem("queens", n=60), 6, 0, "scalar"),
         ):
+            inline = MultiWalkSolver(TINY, executor="inline").solve(
+                problem, n_walkers, 3
+            )
+            assert not any(walk.solved for walk in inline.walks)
             dispatches, records = traced_dispatches(problem, n_walkers)
             assert [d["lanes"] for d in dispatches] == [lanes] * n_walkers
             assert {d["kernel"] for d in dispatches} == {kernel}
