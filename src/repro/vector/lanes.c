@@ -37,7 +37,20 @@
  * touches them by (c_ri - c_rj)(v[j] - v[i]), so a probe re-prices those
  * rows only.
  *
- * Plain C99, one translation unit, no Python.h.
+ * Plain C99, one translation unit, no Python.h, built at -O3 (native.FLAGS).
+ * Where the compiler is GCC 11 or later on x86-64 glibc (the #if before
+ * lanes_run), lanes_run carries flatten and target_clones: GCC inlines the
+ * whole iteration into it and compiles that once each for x86-64-v4
+ * (AVX-512), x86-64-v3 (AVX2) and baseline, and the dynamic loader binds the
+ * widest one this CPU runs, once, at dlopen (an ifunc).  Without flatten
+ * the callees would be compiled once, for baseline, and the clones would
+ * gain nothing.  Every other compiler or platform builds the one plain
+ * function.  What a wider clone changes is how many variables one
+ * instruction covers in the O(n) passes (errors, deltas, the selection
+ * maxima), never a result: every quantity is an exact integer, no pass
+ * reassociates a floating-point sum, and nothing is built with
+ * -ffast-math or -march=native (the cache is keyed by source and flags, so
+ * a library built for this CPU could be loaded on an older one).
  */
 #include <stdint.h>
 #include <string.h>
@@ -351,12 +364,15 @@ static linear_table linear_view(const int64_t *table, int64_t n)
     return t;
 }
 
-/* csp.error_functions, for an integer left-hand side */
+/* csp.error_functions, for an integer left-hand side.  Equality, the
+ * relation of every row of a magic square, is tested before the switch: a
+ * predictable branch where the switch is an indirect jump. */
 static inline int64_t row_error(const linear_table *t, int64_t r, int64_t lhs)
 {
     const int64_t d = lhs - t->rhs[r];
+    if (t->relation[r] == EQ)
+        return iabs(d);
     switch (t->relation[r]) {
-    case EQ: return iabs(d);
     case NE: return d == 0;
     case LE: return d > 0 ? d : 0;
     case LT: return d >= 0 ? d + 1 : 0;
@@ -637,18 +653,19 @@ static void lane_iterate(const lane_block *b, int64_t l, int64_t it)
     int64_t *stats = b->stats + l;
     int64_t worst = -1, best = INT64_MAX, c = 0;
 
-    /* the worst variable that is not frozen, a tie broken by one draw */
+    /* the worst variable that is not frozen, a tie broken by one draw: the
+     * masked max, branch-free so that it vectorises, then the variables
+     * that reach it, in index order (the candidates and their order of a
+     * one-pass scan, so the draw picks the same one) */
     b->resets[l] = b->accept[l] = b->local_min[l] = 0;
     lane_errors(b, l);
     for (int64_t x = 0; x < n; x++) {
-        if (marks[x] >= it)
-            continue;
-        if (err[x] > worst) {
-            worst = err[x];
-            c = 0;
-        }
-        if (err[x] == worst)
-            cand[c++] = x;
+        const int64_t e = marks[x] < it ? err[x] : -1;
+        worst = e > worst ? e : worst;
+    }
+    for (int64_t x = 0; x < n; x++) {
+        cand[c] = x;
+        c += (marks[x] < it) & (err[x] == worst);
     }
     if (c == 0) { /* frozen solid: a reset, and no best-tracking */
         b->i_sel[l] = -1;
@@ -657,18 +674,17 @@ static void lane_iterate(const lane_block *b, int64_t l, int64_t it)
     }
     const int64_t i = b->i_sel[l] = cand[draw_below(g, c)];
 
-    /* its best swap (never with itself), likewise */
+    /* its best swap (never with itself), likewise: the least delta before
+     * i and after it, then the partners that reach it */
     lane_deltas(b, l, i);
+    for (int64_t j = 0; j < i; j++)
+        best = deltas[j] < best ? deltas[j] : best;
+    for (int64_t j = i + 1; j < n; j++)
+        best = deltas[j] < best ? deltas[j] : best;
     c = 0;
     for (int64_t j = 0; j < n; j++) {
-        if (j == i)
-            continue;
-        if (deltas[j] < best) {
-            best = deltas[j];
-            c = 0;
-        }
-        if (deltas[j] == best)
-            cand[c++] = j;
+        cand[c] = j;
+        c += (j != i) & (deltas[j] == best);
     }
     b->count[l] = c;
     b->delta[l] = best;
@@ -712,7 +728,12 @@ static void lane_iterate(const lane_block *b, int64_t l, int64_t it)
 
 /* Lock-step rounds from iteration `it` on: every lane runs one iteration a
  * round, until the round in which a lane reaches target_cost or for
- * `rounds` rounds.  Returns how many were run. */
+ * `rounds` rounds.  Returns how many were run.  One clone per x86-64 level
+ * (see the header); __GLIBC__ comes from the headers included above. */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11 \
+    && defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((flatten, target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
 int64_t lanes_run(const lane_block *b, int64_t it, int64_t rounds)
 {
     int64_t done = 0;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def solve_on_session():
         yield
     finally:
         AdaptiveSearch.solve = plain
+
+
+@pytest.fixture(autouse=True)
+def signal_handlers_as_found():
+    """Fail a test that leaves the SIGTERM or SIGINT handler changed.
+
+    Everything forked later in this process inherits a handler left behind
+    (a pool worker that turns SIGTERM into ``KeyboardInterrupt`` can outlive
+    its ``terminate()``), so a leak shows up tests later, in someone else's
+    test.  Here it fails the test that leaked it; the found handlers are put
+    back first, so nothing after it inherits the leak.
+    """
+    found = {
+        sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    yield
+    changed = [sig for sig in found if signal.getsignal(sig) != found[sig]]
+    for sig in changed:
+        signal.signal(sig, found[sig])
+    names = " and ".join(sig.name for sig in changed)
+    assert not changed, f"the test left the {names} handler changed"
 
 
 @pytest.fixture

@@ -214,9 +214,21 @@ def test_a_warm_lane_engine_import_is_the_engine_and_nothing_else(tmp_path):
     (imported by ``native._build``, which does not run).  A watched name
     that ``site`` preloads on some host (``tempfile``, say, where a
     ``.pth`` hook imports ``certifi``) is not added there, so cannot be
-    seen there; it is checked on every host that does not preload it."""
+    seen there; it is checked on every host that does not preload it.  That
+    the second child built nothing is checked on the cache itself, on every
+    host: the library the first child built keeps its inode and its
+    modification time, and no build's scratch file is left beside it."""
     cache = str(tmp_path / "cache")
+    folder = tmp_path / "cache" / "repro"
+
+    def libraries():
+        return {
+            path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in folder.glob("lanes-*.so")
+        }
+
     _child("import repro.vector\nprint(json.dumps(None))", XDG_CACHE_HOME=cache)
+    warmed = libraries()
     report = _child(
         "before = set(sys.modules)\n"
         "import repro\n"
@@ -233,6 +245,8 @@ def test_a_warm_lane_engine_import_is_the_engine_and_nothing_else(tmp_path):
     if not report["compiled"]:
         pytest.skip("no compiled library could be built or loaded on this host")
     assert report["loaded"] == []
+    assert len(warmed) == 1 and libraries() == warmed
+    assert list(folder.glob(".lanes-*.tmp")) == []
 
 
 def test_the_first_solve_loads_the_lane_engine_not_import_repro():

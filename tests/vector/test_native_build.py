@@ -196,3 +196,85 @@ def test_an_edited_source_gets_its_own_file(tmp_path):
     assert sorted(libraries(tmp_path)) == sorted(
         Path(p).name for p in (stale, seen["library"])
     )
+
+
+#: the walks of all four kinds, k = 3 at seeds 1-3 under the defaults and
+#: under frequent resets, once on the library ``repro.vector`` loaded and
+#: once on one built from ``sys.argv[1]``: every result field but the wall
+#: time, and where each generator ended
+CLONES = """
+import dataclasses, json, sys
+from pathlib import Path
+import numpy as np
+from repro.core.config import AdaptiveSearchConfig
+from repro.problems import make_problem
+from repro.vector import native
+from repro.vector.engine import VectorWalkEngine
+
+CONFIGS = (
+    AdaptiveSearchConfig(max_iterations=3000),
+    # frequent partial resets: the reset's draws run inside the clone too
+    AdaptiveSearchConfig(
+        reset_limit=1, freeze_swap=2, plateau_is_local_min=False,
+        max_iterations=400,
+    ),
+)
+
+def walks():
+    out = []
+    for family, n in (("magic_square", 8), ("costas", 12),
+                      ("all_interval", 14), ("magic_square_model", 5)):
+        for config in CONFIGS:
+            generators = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+            engine = VectorWalkEngine(
+                make_problem(family, n=n), 3, config, seeds=generators
+            )
+            assert engine._compiled, family
+            for walk, generator in zip(engine.run().walks, generators):
+                stats = dataclasses.asdict(walk.stats)
+                del stats["wall_time"]
+                out.append([
+                    family, walk.reason.name, walk.solved, walk.cost,
+                    walk.config.tolist(), stats,
+                    generator.bit_generator.state["state"],
+                ])
+    return out
+
+cloned = native.LOADED
+cloned_walks = walks()
+native.LOADED = plain = native.load_library(source=Path(sys.argv[1]))
+print(json.dumps({
+    "libraries": [str(cloned.path), str(plain.path)], "error": plain.error,
+    "cloned": cloned_walks, "plain": walks(),
+}))
+"""
+
+
+@needs_compiler
+def test_the_clones_change_no_walk(tmp_path):
+    """``lanes_run`` is compiled once per x86-64 level where GCC can, and
+    the dynamic loader picks one: whichever runs, the walk is the one a
+    build without the clone attribute makes (on an AVX-512 host, the v4
+    clone against the baseline build)."""
+    lines = native.SOURCE.read_text().splitlines(keepends=True)
+    plain = [line for line in lines if not line.startswith("__attribute__")]
+    assert len(plain) == len(lines) - 1
+    source = tmp_path / "lanes.c"
+    source.write_text("".join(plain))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLONES, str(source)],
+        capture_output=True, text=True, timeout=300,
+        env=child_env(tmp_path / "cache"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["error"] == ""
+    cloned_library, plain_library = seen["libraries"]
+    assert cloned_library != plain_library
+    assert len(seen["cloned"]) == len(seen["plain"]) == 24
+    for cloned, plain in zip(seen["cloned"], seen["plain"]):
+        assert cloned == plain, cloned[0]
+    # the walks did something a tie draw or a reset could bend
+    stats = [walk[5] for walk in seen["cloned"]]
+    assert sum(s["resets"] for s in stats) > 0
+    assert sum(s["local_minima"] for s in stats) > 0
