@@ -38,14 +38,15 @@
  * rows only.
  *
  * Plain C99, one translation unit, no Python.h, built at -O3 (native.FLAGS).
- * Where the compiler is GCC 11 or later on x86-64 glibc (the #if before
- * lanes_run), lanes_run carries flatten and target_clones: GCC inlines the
- * whole iteration into it and compiles that once each for x86-64-v4
- * (AVX-512), x86-64-v3 (AVX2) and baseline, and the dynamic loader binds the
- * widest one this CPU runs, once, at dlopen (an ifunc).  Without flatten
- * the callees would be compiled once, for baseline, and the clones would
- * gain nothing.  Every other compiler or platform builds the one plain
- * function.  What a wider clone changes is how many variables one
+ * Where the compiler is GCC 11.3 or later on x86-64 glibc (the #if before
+ * lanes_run; earlier GCC 11 releases find no dispatcher for an x86-64-vN
+ * clone), lanes_run carries flatten and target_clones: GCC inlines the
+ * whole iteration into it and compiles that twice, for x86-64-v4 (AVX-512)
+ * and for baseline, and the dynamic loader binds the v4 clone where the CPU
+ * runs it and baseline elsewhere, once, at dlopen (an ifunc).  Without
+ * flatten the callees would be compiled once, for baseline, and the clone
+ * would gain nothing.  Every other compiler or platform builds the one
+ * plain function.  What the wider clone changes is how many variables one
  * instruction covers in the O(n) passes (errors, deltas, the selection
  * maxima), never a result: every quantity is an exact integer, no pass
  * reassociates a floating-point sum, and nothing is built with
@@ -728,11 +729,12 @@ static void lane_iterate(const lane_block *b, int64_t l, int64_t it)
 
 /* Lock-step rounds from iteration `it` on: every lane runs one iteration a
  * round, until the round in which a lane reaches target_cost or for
- * `rounds` rounds.  Returns how many were run.  One clone per x86-64 level
- * (see the header); __GLIBC__ comes from the headers included above. */
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11 \
+ * `rounds` rounds.  Returns how many were run.  A v4 clone and a baseline
+ * one (see the header); __GLIBC__ comes from the headers included above. */
+#if defined(__GNUC__) && !defined(__clang__) \
+    && (__GNUC__ > 11 || (__GNUC__ == 11 && __GNUC_MINOR__ >= 3)) \
     && defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((flatten, target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+__attribute__((flatten, target_clones("arch=x86-64-v4", "default")))
 #endif
 int64_t lanes_run(const lane_block *b, int64_t it, int64_t rounds)
 {

@@ -11,13 +11,13 @@ inherit the mapping), never inside a job, and never by ``import repro`` or
 ``repro.cli``, which do not import ``repro.vector``.
 
 The flags (:data:`FLAGS`) are ``-O3 -std=c99 -shared -fPIC``, and they are
-part of the file name's hash.  Under GCC on x86-64 glibc, ``lanes.c``
-compiles ``lanes_run`` three times (x86-64-v4, v3 and baseline) and the
+part of the file name's hash.  Under GCC 11.3 or later on x86-64 glibc,
+``lanes.c`` compiles ``lanes_run`` twice (x86-64-v4 and baseline) and the
 dynamic loader binds the one this CPU runs when the library is opened;
 nothing here chooses, and no flag names a CPU (``-march=native`` would
 make a file that a shared cache could hand to an older CPU, which dies of
-SIGILL).  A cold build takes ≈ 2 s, once per machine and source version;
-a warm start is one ``dlopen``.
+SIGILL).  A cold build takes ≈ 1.6 s, once per machine and source
+version; a warm start is one ``dlopen``.
 
 Nothing selects the outcome: a library that loads is used, and anything
 else — no compiler, an unusable cache directory, a failed build, a failed

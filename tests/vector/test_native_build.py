@@ -252,10 +252,10 @@ print(json.dumps({
 
 @needs_compiler
 def test_the_clones_change_no_walk(tmp_path):
-    """``lanes_run`` is compiled once per x86-64 level where GCC can, and
-    the dynamic loader picks one: whichever runs, the walk is the one a
-    build without the clone attribute makes (on an AVX-512 host, the v4
-    clone against the baseline build)."""
+    """``lanes_run`` is compiled for x86-64-v4 and for baseline where GCC
+    can, and the dynamic loader picks one: whichever runs, the walk is the
+    one a build without the clone attribute makes (on an AVX-512 host, the
+    v4 clone against the baseline build)."""
     lines = native.SOURCE.read_text().splitlines(keepends=True)
     plain = [line for line in lines if not line.startswith("__attribute__")]
     assert len(plain) == len(lines) - 1
