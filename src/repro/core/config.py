@@ -24,10 +24,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import SolverError
 from repro.util.validation import check_fraction, check_probability
+
+if TYPE_CHECKING:
+    from repro.problems.base import Problem
 
 __all__ = ["AdaptiveSearchConfig"]
 
@@ -138,6 +141,21 @@ class AdaptiveSearchConfig:
             if getattr(self, name) == field_defaults[name]
         }
         return dataclasses.replace(self, **updates) if updates else self
+
+    def for_problem(self, problem: "Problem") -> "AdaptiveSearchConfig":
+        """``merged_with(problem.default_solver_parameters())``, merged once
+        per instance and held by it (:attr:`Problem.derived`) for as long
+        as the configuration it is asked for is this one or equal to it:
+        one entry, so a solver whose base configuration is replaced by a
+        different one merges the new one on its next walk, and a caller
+        that builds an equal configuration per call (``config or
+        AdaptiveSearchConfig()``) gets the held merge, the same object."""
+        held = problem.derived.get(AdaptiveSearchConfig)
+        if held is not None and (held[0] is self or held[0] == self):
+            return held[1]
+        merged = self.merged_with(problem.default_solver_parameters())
+        problem.derived[AdaptiveSearchConfig] = (self, merged)
+        return merged
 
     def replace(self, **changes: Any) -> "AdaptiveSearchConfig":
         """Functional update returning a new validated config."""

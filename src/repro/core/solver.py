@@ -80,7 +80,7 @@ class AdaptiveSearch:
         """The configuration that ``solve`` would use for ``problem``."""
         if not self.use_problem_defaults:
             return self.base_config
-        return self.base_config.merged_with(problem.default_solver_parameters())
+        return self.base_config.for_problem(problem)
 
     # ------------------------------------------------------------------
     def session(

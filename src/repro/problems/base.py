@@ -37,6 +37,7 @@ pickle, so an instance's content digest is the same before and after use.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -202,6 +203,19 @@ class Problem(ABC):
         """Per-problem tuning (mirrors the per-benchmark defaults of the C
         library).  Keys match :class:`repro.core.config.AdaptiveSearchConfig`
         fields; the solver merges them under any explicit user settings."""
+        return {}
+
+    @cached_property
+    def derived(self) -> dict[Any, Any]:
+        """What a solver derives from this instance for a walk and keeps
+        for the next one — the merged configuration
+        (:meth:`~repro.core.config.AdaptiveSearchConfig.for_problem`), the
+        compiled lane layout (:mod:`repro.vector.problems`) — keyed by the
+        class that derives it.  An entry is a pure function of the
+        instance and of the inputs it records beside its value (a base
+        configuration, a batch width), so two threads that fill one at once
+        store equal values; and, like every derived table, it is never
+        pickled."""
         return {}
 
     def __repr__(self) -> str:

@@ -40,6 +40,30 @@ indices.  What stays per lane is the draws — the contract above — and the
 partial resets they drive.  ``iterations`` / ``cost`` / ``best_cost`` /
 ``active`` are assembled per *original* lane on demand.
 
+One buffer
+----------
+A compiled batch lives in one int64 buffer, allocated by its
+:class:`~repro.vector.problems.CompiledLanes`::
+
+    [ LaneBlock | configs  marks  best_configs | stats | cost  best_cost |
+      dirty ... bitgen | err  deltas  cand | state ]
+
+The ``LaneBlock`` that ``lanes_run`` reads is a ctypes view of the first
+words.  The engine's own arrays come next, each a view of the buffer
+(:meth:`~repro.vector.problems.VectorProblem.lane_arrays` hands them over):
+the ``(m, n)`` configurations, marks and best configurations, the
+``(7, m)`` counters, and the ``(m,)`` costs and best costs.  Then the
+per-lane hand-off vectors, the ``(m, n)`` scratch and every lane's derived
+state.  The block is complete when it is built.  Its constant words (kind,
+shape, table address, solver parameters) come from a layout derived once
+per problem and held by it (``problem.derived``, never pickled), and its
+pointers are offsets into the buffer plus the buffer's address.  Only each
+lane's generator address is written later, when the batch first runs.  A
+retirement that leaves lanes behind moves their rows into a fresh buffer at
+the new width; a batch that retires whole keeps its arrays as they are.
+The NumPy round keeps separate arrays, with marks as narrow as the
+iteration budget allows.
+
 Two rounds, one contract
 ------------------------
 The lifecycle around a round — seeding, the pre-phase, retirement,
@@ -128,8 +152,9 @@ from repro.vector.selection import argmin_lanes, masked_argmax_lanes
 
 __all__ = ["VectorWalkEngine", "VectorRunOutcome", "solve_vector"]
 
-#: rows of the ``(7, m)`` counter array; a local minimum always freezes its
-#: variable, so those two rows are adjacent and updated as one slice
+#: rows of the ``(7, m)`` counter array (``_retire`` reads a lane's column
+#: in this order); a local minimum always freezes its variable, so those two
+#: rows are adjacent and updated as one slice
 _STAT_FIELDS = (
     "swaps",
     "plateau_moves",
@@ -139,21 +164,12 @@ _STAT_FIELDS = (
     "resets",
     "restarts",
 )
-_SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS = range(7)
+(
+    _SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS,
+) = range(len(_STAT_FIELDS))
 
 #: lane-iterations one ``lanes_run`` call may span (see module docstring)
 _LANE_ITERATIONS_PER_CALL = 1 << 14
-
-#: the per-lane arrays a retirement compresses (the counters aside)
-_LANE_ARRAYS = (
-    "_lanes",
-    "_configs",
-    "_cost",
-    "_best_cost",
-    "_best_configs",
-    "_marks",
-    "_restart_due",
-)
 
 
 @dataclass
@@ -258,7 +274,7 @@ class VectorWalkEngine:
         self.n = problem.size
         base = config or AdaptiveSearchConfig()
         if use_problem_defaults:
-            base = base.merged_with(problem.default_solver_parameters())
+            base = base.for_problem(problem)
         self.config = base
         self.first_wins = first_wins
         self.round_callback = round_callback
@@ -292,50 +308,35 @@ class VectorWalkEngine:
         if vector_problem is not None:
             self.vp = vector_problem
         elif lane_kernel(problem) == "compiled":
-            self.vp = CompiledLanes(problem, k)
+            self.vp = CompiledLanes(problem, k, base)
         else:
             self.vp = as_vector_problem(problem, k)
         self._compiled = isinstance(self.vp, CompiledLanes)
-
-        n = self.n
-        self._configs = np.empty((k, n), dtype=np.int64)
+        (
+            self._configs, self._marks, self._best_configs, self._stats,
+            self._cost, self._best_cost,
+        ) = self.vp.lane_arrays(base)
+        configs = self._configs
         starts = initial_configurations or [None] * k
         for lane, start in enumerate(starts):
             if start is None:
                 start = problem.random_configuration(self.rngs[lane])
             else:
                 problem.check_configuration(start)
-            self._configs[lane] = start
-        self._cost = self.vp.lane_costs(self._configs)
-        self._best_cost = self._cost.copy()
-        self._best_configs = self._configs.copy()
-        # narrow marks halve (or quarter) the per-round tabu-mask traffic:
-        # a mark never exceeds the global iteration budget plus the longest
-        # freeze tenure, so int16 is exact whenever that bound fits;
-        # iteration counts beyond 2**31 are out of scope for any real run
-        freeze_max = max(base.freeze_swap, base.freeze_loc_min, 0)
-        mark_bound = (
-            base.max_iterations + freeze_max
-            if math.isfinite(base.max_iterations)
-            else math.inf
-        )
-        if self._compiled:
-            mark_dtype = np.int64  # the one width lanes.c reads
-        elif mark_bound < np.iinfo(np.int16).max:
-            mark_dtype = np.int16
-        else:
-            mark_dtype = np.int32
-        self._marks = np.zeros((k, n), dtype=mark_dtype)
-        self._stats = np.zeros((len(_STAT_FIELDS), k), dtype=np.int64)
+            configs[lane] = start
+        self._cost[:] = self.vp.lane_costs(configs)
+        self._best_cost[:] = self._cost
+        self._best_configs[:] = configs
         # the round a lane's next restart falls due; only a restart moves it
-        self._restart_due = np.full(k, base.restart_limit, dtype=np.float64)
+        self._restart_due = [base.restart_limit] * k
         self._next_restart = base.restart_limit
         #: original lane of every live row
-        self._lanes = np.arange(k)
+        self._lanes = list(range(k))
         self._walks: list[Optional[SolveResult]] = [None] * k
-        self._done_iterations = np.zeros(k, dtype=np.int64)
-        self._done_cost = np.zeros(k, dtype=np.float64)
-        self._done_best_cost = np.zeros(k, dtype=np.float64)
+        #: per original lane, where it finished (iterations, cost, best cost)
+        self._done_iterations = [0] * k
+        self._done_cost = [0.0] * k
+        self._done_best_cost = [0.0] * k
         self._stopwatch = Stopwatch()
         self.rounds = 0
         #: round-running calls made so far (one per round on the NumPy round)
@@ -345,18 +346,16 @@ class VectorWalkEngine:
         self._scratch_of: Optional[VectorProblem] = None
         if self._observers is not None:
             for row, observers in enumerate(self._observers):
-                observers.on_start(self._configs[row], float(self._cost[row]))
+                observers.on_start(configs[row], float(self._cost[row]))
 
     def _set_width(self) -> None:
-        """Per-width scratch: the compiled round's block, or the NumPy
-        round's cached draw methods, flat row bounds and buffers."""
+        """Per-width scratch: the lanes' generators in the compiled round's
+        block, or the NumPy round's cached draw methods, flat row bounds
+        and buffers."""
         m = len(self.rngs)
         self._scratch_of = self.vp
         if self._compiled:
-            self.vp.bind(
-                self._configs, self._marks, self._cost, self._best_cost,
-                self._best_configs, self._stats, self.config, self.rngs,
-            )
+            self.vp.bind(self.rngs)
             return
         self._integers = [rng.integers for rng in self.rngs]
         self._randoms = [rng.random for rng in self.rngs]
@@ -368,26 +367,29 @@ class VectorWalkEngine:
     # per-original-lane views, assembled on demand: finished lanes stay at
     # their final values, live lanes report the batch's current ones
     # ------------------------------------------------------------------
-    def _per_lane(self, done: np.ndarray, live) -> np.ndarray:
-        out = done.copy()
-        out[self._lanes] = live
+    def _per_lane(self, done: list, live, dtype: type) -> np.ndarray:
+        out = np.array(done, dtype=dtype)
+        if self.rngs:
+            out[self._lanes] = live
         return out
 
     @property
     def iterations(self) -> np.ndarray:
-        return self._per_lane(self._done_iterations, self.rounds)
+        return self._per_lane(self._done_iterations, self.rounds, np.int64)
 
     @property
     def cost(self) -> np.ndarray:
-        return self._per_lane(self._done_cost, self._cost)
+        return self._per_lane(self._done_cost, self._cost, np.float64)
 
     @property
     def best_cost(self) -> np.ndarray:
-        return self._per_lane(self._done_best_cost, self._best_cost)
+        return self._per_lane(
+            self._done_best_cost, self._best_cost, np.float64
+        )
 
     @property
     def active(self) -> np.ndarray:
-        return self._per_lane(np.zeros(self.k, dtype=bool), True)
+        return self._per_lane([False] * self.k, True, bool)
 
     @property
     def solved_lanes(self) -> list[int]:
@@ -452,24 +454,29 @@ class VectorWalkEngine:
         """Solved / restart / iteration-budget checks, in the scalar loop's
         order and precedence; lanes that end here are retired."""
         cfg = self.config
-        solved = (self._cost <= cfg.target_cost).nonzero()[0]
-        done: dict[int, TerminationReason] = dict.fromkeys(
-            solved.tolist(), TerminationReason.SOLVED
-        )
-        if self.rounds >= self._next_restart:
-            for row in (self._restart_due <= self.rounds).nonzero()[0].tolist():
+        rounds = self.rounds
+        target = cfg.target_cost
+        done = {}
+        for row, cost in enumerate(self._cost.tolist()):
+            if cost <= target:
+                done[row] = TerminationReason.SOLVED
+        if rounds >= self._next_restart:
+            due = [
+                row for row, at in enumerate(self._restart_due) if at <= rounds
+            ]
+            for row in due:
                 if row not in done:
                     reason = self._restart_row(row)
                     if reason is not None:
                         done[row] = reason
-        if self.rounds >= cfg.max_iterations:
+        if rounds >= cfg.max_iterations:
             for row in range(len(self.rngs)):
                 done.setdefault(row, TerminationReason.MAX_ITERATIONS)
         if done:
             self._retire(done)
-        if self.rounds >= self._next_restart and self.rngs:
+        if rounds >= self._next_restart and self.rngs:
             # the lanes that were due have restarted or left the batch
-            self._next_restart = self._restart_due.min()
+            self._next_restart = min(self._restart_due)
 
     def _restart_row(self, row: int) -> Optional[TerminationReason]:
         """Restart one lane; the reason it ends instead, if it does."""
@@ -522,38 +529,75 @@ class VectorWalkEngine:
                 done.setdefault(row, TerminationReason.CANCELLED)
         now = self._stopwatch.elapsed
         problem_name = self.problem.name
+        rounds = self.rounds
+        lanes = self._lanes
+        cost, best_cost = self._cost.tolist(), self._best_cost.tolist()
+        counters = self._stats.T.tolist()
         for row, reason in done.items():
-            lane = int(self._lanes[row])
-            counters = dict(zip(_STAT_FIELDS, self._stats[:, row].tolist()))
+            lane = lanes[row]
+            swaps, plateau, accepted, local_min, frozen, resets, restarts = (
+                counters[row]
+            )
             self._walks[lane] = walk = SolveResult(
                 solved=reason is TerminationReason.SOLVED,
                 config=self._best_configs[row].copy(),
-                cost=float(self._best_cost[row]),
+                cost=best_cost[row],
                 reason=reason,
                 stats=SolveStats(
-                    iterations=self.rounds, wall_time=now, **counters
+                    iterations=rounds,
+                    swaps=swaps,
+                    local_minima=local_min,
+                    plateau_moves=plateau,
+                    accepted_local_min_moves=accepted,
+                    frozen_variables=frozen,
+                    resets=resets,
+                    restarts=restarts,
+                    wall_time=now,
                 ),
                 problem_name=problem_name,
                 solver_name=self.solver_name,
             )
-            self._done_iterations[lane] = self.rounds
-            self._done_cost[lane] = self._cost[row]
-            self._done_best_cost[lane] = self._best_cost[row]
+            self._done_iterations[lane] = rounds
+            self._done_cost[lane] = cost[row]
+            self._done_best_cost[lane] = best_cost[row]
             if self._observers is not None:
                 self._observers[row].on_finish(walk.solved, walk.cost)
+        if len(done) == m:
+            # the whole batch leaves: nothing is left to compress, and the
+            # arrays stay as they are (the per-lane views read the results)
+            self.rngs = []
+            if self._observers is not None:
+                self._observers = []
+            return
         kept = [row not in done for row in range(m)]
-        # when the whole batch leaves there is nothing to compress
-        keep = np.array(kept) if any(kept) else slice(0)
-        for name in _LANE_ARRAYS:
-            setattr(self, name, getattr(self, name)[keep])
-        # a mask on the second axis answers in column-major order
-        self._stats = np.ascontiguousarray(self._stats[:, keep])
+        keep = np.array(kept)
         self.rngs = list(compress(self.rngs, kept))
         if self._observers is not None:
             self._observers = list(compress(self._observers, kept))
-        if self.rngs:
-            # every adapter starts from a bare configuration matrix
-            self.vp = type(self.vp)(self.problem, len(self.rngs))
+        self._lanes = list(compress(self._lanes, kept))
+        self._restart_due = list(compress(self._restart_due, kept))
+        # every adapter starts from a bare configuration matrix, and the
+        # survivors' rows move into the arrays of the new width
+        width = len(self.rngs)
+        self.vp = (
+            CompiledLanes(self.problem, width, self.config)
+            if self._compiled
+            else type(self.vp)(self.problem, width)
+        )
+        old = (
+            self._configs, self._marks, self._best_configs, self._stats,
+            self._cost, self._best_cost,
+        )
+        (
+            self._configs, self._marks, self._best_configs, self._stats,
+            self._cost, self._best_cost,
+        ) = self.vp.lane_arrays(self.config)
+        self._configs[...] = old[0][keep]
+        self._marks[...] = old[1][keep]
+        self._best_configs[...] = old[2][keep]
+        self._stats[...] = old[3][:, keep]
+        self._cost[...] = old[4][keep]
+        self._best_cost[...] = old[5][keep]
 
     def _report_resets(self) -> None:
         """Tell the observers of the lanes ``lanes_run`` reset in the round

@@ -61,10 +61,12 @@ SOURCE = Path(__file__).with_name("lanes.c")
 FLAGS = ("-O3", "-std=c99", "-shared", "-fPIC")
 
 class LaneBlock(ctypes.Structure):
-    """``lane_block`` of ``lanes.c``, field for field.  The pointers are
-    untyped here so that a field takes an :func:`address` as it is; what
-    each one points at (``int64_t``, or ``double`` for the two costs) is
-    checked where the array is bound."""
+    """``lane_block`` of ``lanes.c``, field for field, every one eight
+    bytes wide.  The pointers are untyped here so that a field takes an
+    :func:`address` as it is.  :class:`repro.vector.problems.CompiledLanes`
+    lays a block out at the head of one int64 buffer and points it into the
+    rest (``int64_t``, or ``double`` for the two costs); a configuration
+    matrix from elsewhere is checked where it is bound."""
 
     _fields_ = [
         *((name, ctypes.c_int64) for name in (
@@ -230,6 +232,9 @@ def _bind(lib: ctypes.CDLL) -> None:
         function.restype = restype
     if lib.lanes_block_size() != ctypes.sizeof(LaneBlock):
         raise OSError("lane_block layout differs between lanes.c and LaneBlock")
+    if ctypes.sizeof(LaneBlock) != 8 * len(LaneBlock._fields_):
+        # CompiledLanes lays a block out as int64 words
+        raise OSError("lane_block fields are not all eight bytes wide")
 
 
 def load_library(source: Path = SOURCE) -> Loaded:

@@ -63,6 +63,7 @@ Batched swap-delta kernels (NumPy)
 
 from __future__ import annotations
 
+import ctypes
 import math
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence, Type
@@ -97,7 +98,7 @@ class VectorProblem:
     engine mutates ``configs`` only *after* ``deltas`` (swaps / resets), so
     staleness is never observable.  Every row of ``configs`` is a live
     lane; an adapter lives for one batch width (the engine builds a new one,
-    ``type(adapter)(problem, m)``, when lanes retire).
+    ``type(adapter)(problem, m)``, when lanes retire and others go on).
 
     ``errors`` and ``deltas`` may return any numeric dtype (values must be
     exact), C-contiguous, and may reuse an internal buffer — the engine
@@ -170,11 +171,39 @@ class VectorProblem:
         """Whole rows rewritten (partial reset / restart)."""
 
     def lane_costs(self, configs: np.ndarray) -> np.ndarray:
-        """Stateless cost of every lane, ``(k,)`` float64."""
+        """Stateless cost of every lane, ``(k,)`` float64 (an adapter may
+        answer in an array of its own)."""
         problem = self.problem
         return np.asarray(
             [problem.cost(configs[lane]) for lane in range(len(configs))],
             dtype=np.float64,
+        )
+
+    def lane_arrays(self, config: Any) -> tuple[np.ndarray, ...]:
+        """The arrays a batch at this width walks in under ``config``,
+        zeroed: the configurations, the marks and the best configurations
+        ``(k, n)``, the ``(7, k)`` counters, the costs and the best costs
+        ``(k,)``.  An adapter whose kernels read them in place hands out
+        its own.
+
+        Narrow marks halve (or quarter) the NumPy round's per-round
+        tabu-mask traffic: a mark never exceeds the global iteration budget
+        plus the longest freeze tenure, so int16 is exact whenever that
+        bound fits; iteration counts beyond 2**31 are out of scope for any
+        real run."""
+        k, n = self.k, self.n
+        marks = np.int32
+        if math.isfinite(config.max_iterations):
+            freeze_max = max(config.freeze_swap, config.freeze_loc_min, 0)
+            if config.max_iterations + freeze_max < np.iinfo(np.int16).max:
+                marks = np.int16
+        return (
+            np.zeros((k, n), dtype=np.int64),
+            np.zeros((k, n), dtype=marks),
+            np.zeros((k, n), dtype=np.int64),
+            np.zeros((7, k), dtype=np.int64),
+            np.zeros(k, dtype=np.float64),
+            np.zeros(k, dtype=np.float64),
         )
 
 
@@ -608,12 +637,37 @@ def _has_compiled_kind(problem: Problem) -> bool:
     return type(problem) in _COMPILED
 
 
-#: the per-lane vectors of a ``LaneBlock``, in the order
-#: :class:`CompiledLanes` lays them out behind its matrices
+#: the per-lane vectors of a ``LaneBlock``, rows of one ``(9, k)`` array
 _VECTORS = (
     "dirty", "count", "local_min", "draw", "accept", "i_sel", "delta",
     "resets", "bitgen",
 )
+(
+    _DIRTY, _COUNT, _LOCAL_MIN, _DRAW, _ACCEPT, _I_SEL, _DELTA, _RESETS,
+    _BITGEN,
+) = range(len(_VECTORS))
+
+#: what a buffer lays out behind its block, in this order: per ``LaneBlock``
+#: pointer, the words one lane takes of the array it points at ("n": one
+#: per variable, "state": the kind's state size).  The engine's arrays come
+#: first, then the hand-off vectors, the ``(k, n)`` scratch and the state;
+#: ``CompiledLanes`` carves its views in the same order
+_ARRAYS = (
+    ("configs", "n"), ("marks", "n"), ("best_configs", "n"),
+    ("stats", 7), ("cost", 1), ("best_cost", 1),
+    *((name, 1) for name in _VECTORS),
+    ("err", "n"), ("deltas", "n"), ("cand", "n"),
+    ("state", "state"),
+)
+
+#: the words of a ``LaneBlock`` (every field is eight bytes wide), which
+#: open a buffer
+_HEAD = ctypes.sizeof(native.LaneBlock) // 8
+
+
+def _word(field: str) -> int:
+    """Where ``field`` sits in a ``LaneBlock``, in words."""
+    return getattr(native.LaneBlock, field).offset // 8
 
 
 def _require(array: np.ndarray, dtype: type, shape: tuple) -> None:
@@ -629,139 +683,190 @@ def _require(array: np.ndarray, dtype: type, shape: tuple) -> None:
         )
 
 
+class _Layout:
+    """What ``lanes.c`` needs of one problem, derived once per instance and
+    held by it (``problem.derived[CompiledLanes]``): the ``LINEAR`` kind's
+    table, the words one lane takes of a buffer, and the block's words.
+    The block of ``k`` lanes in a buffer at ``base`` is ``head(config, k)
+    + base * pointers``: ``pointers`` is 1 at every pointer into the
+    buffer (all but ``table``), where ``head`` holds the offset."""
+
+    __slots__ = (
+        "n", "table", "lane_words", "per_lane", "pointers", "fixed", "_held",
+    )
+
+    def __init__(self, problem: Problem) -> None:
+        kind, order, state_size = _COMPILED[type(problem)](problem)
+        n = self.n = problem.size
+        #: held: the block keeps only its address
+        self.table = (
+            problem.model.unit_linear_table if kind == _LINEAR else None
+        )
+        per_lane, fixed, pointers = np.zeros((3, _HEAD), dtype=np.int64)
+        sizes = {"n": n, "state": state_size}
+        words = 0
+        for name, size in _ARRAYS:
+            at = _word(name)
+            pointers[at] = 1
+            fixed[at] = 8 * _HEAD
+            per_lane[at] = 8 * words
+            words += sizes.get(size, size)
+        self.lane_words = words
+        per_lane[_word("m")] = 1
+        for name, value in (
+            ("kind", kind), ("n", n), ("order", order),
+            ("state_size", state_size),
+        ):
+            fixed[_word(name)] = value
+        if self.table is not None:
+            fixed[_word("table")] = native.address(self.table)
+        self.per_lane, self.fixed, self.pointers = per_lane, fixed, pointers
+        self._held: Optional[tuple[Any, int, np.ndarray]] = None
+
+    def head(self, config: Any, k: int) -> np.ndarray:
+        """The block's words for ``k`` lanes and the solver parameters of
+        ``config`` (``None``: zero, for the kernels one at a time), in a
+        buffer at address 0 — built once per configuration object and
+        width and held, one entry."""
+        held = self._held
+        if held is not None and held[0] is config and held[1] == k:
+            return held[2]
+        words = self.per_lane * k + self.fixed
+        if config is not None:
+            for name, value in (
+                ("plateau_is_local_min", bool(config.plateau_is_local_min)),
+                ("freeze_swap", config.freeze_swap),
+                ("freeze_loc_min", config.freeze_loc_min),
+                ("reset_limit", config.reset_limit),
+                # csp.permutation.random_partial_reset's count, to the float
+                (
+                    "reset_swaps",
+                    max(1, math.ceil(config.reset_fraction * self.n / 2.0)),
+                ),
+            ):
+                words[_word(name)] = int(value)
+            reals = words.view(np.float64)
+            reals[_word("prob_select_loc_min")] = config.prob_select_loc_min
+            reals[_word("target_cost")] = config.target_cost
+        words.flags.writeable = False
+        self._held = (config, k, words)
+        return words
+
+
 class CompiledLanes(VectorProblem):
     """The kernel set of ``lanes.c`` at one batch width.
 
-    It owns what the C side works in — every lane's derived state, the
-    ``(k, n)`` scratch, the hand-off vectors — and describes all of it,
-    with the engine's own arrays once :meth:`bind` has been given them, in
-    one :class:`~repro.vector.native.LaneBlock`.  The engine advances the
+    Everything the C side reads and writes for a batch lives in one int64
+    buffer: the :class:`~repro.vector.native.LaneBlock` itself (a ctypes
+    view of the buffer's first words), then the engine's arrays (the
+    configurations, marks, best configurations, counters, costs and best
+    costs that :meth:`lane_arrays` hands out), the hand-off vectors, the
+    ``(k, n)`` scratch and every lane's derived state.  The block is complete
+    when it is built — shape, solver parameters (``config``), pointers —
+    from the problem's :class:`_Layout`, derived once per instance; only
+    each lane's generator is left to :meth:`bind`.  The engine advances the
     batch with one call on that block (``lanes_run``: rounds of whole
-    iterations, each lane drawing from the generator :meth:`bind` gave it)
-    and the state follows every swap and reset inside it; a row rewritten
-    from Python is reported through :meth:`notify_rows` and rebuilt before
-    it is next read.
+    iterations) and the state follows every swap and reset inside it; a
+    row rewritten from Python is reported through :meth:`notify_rows` and
+    rebuilt before it is next read.
 
     The class also answers the :class:`VectorProblem` protocol, one kernel
-    per call, which is how ``tests/vector/test_kernels.py`` holds the C
-    kernels to the scalar protocol.  There is no mask, so no order limit:
-    all arithmetic is 64-bit.
+    per call, on any configuration matrix :meth:`begin_round` points it at,
+    which is how ``tests/vector/test_kernels.py`` holds the C kernels to
+    the scalar protocol.  There is no mask, so no order limit: all
+    arithmetic is 64-bit.
     """
 
     delta_sentinel = int(np.iinfo(np.int64).max)
 
-    def __init__(self, problem: Problem, k: int) -> None:
+    def __init__(self, problem: Problem, k: int, config: Any = None) -> None:
         super().__init__(problem, k)
         lib = native.LOADED.lib
         if lib is None:
             raise ValueError(
                 f"no compiled lane kernels: {native.LOADED.error}"
             )
-        if not _has_compiled_kind(problem):
-            raise ValueError(f"lanes.c has no kernels for {problem.name}")
-        kind, order, state_size = _COMPILED[type(problem)](problem)
-        n = self.n
+        layout = problem.derived.get(CompiledLanes)
+        if layout is None:
+            if not _has_compiled_kind(problem):
+                raise ValueError(f"lanes.c has no kernels for {problem.name}")
+            layout = problem.derived[CompiledLanes] = _Layout(problem)
         self.lib = lib
-        #: the LINEAR kind's table, held: the block keeps only its address
-        self._table = (
-            problem.model.unit_linear_table if kind == _LINEAR else None
-        )
-        # one allocation — the state, the three (k, n) matrices, then the
-        # per-lane vectors — and one address: an engine is built per
-        # one-walk slice and rebuilt at every retirement, so set-up is on
-        # the path
-        matrices = k * state_size
-        vectors = matrices + 3 * k * n
+        self._layout = layout
         self._buffer = buffer = np.zeros(
-            vectors + len(_VECTORS) * k, dtype=np.int64
+            _HEAD + k * layout.lane_words, dtype=np.int64
         )
-        self._state = buffer[:matrices].reshape(k, state_size)
-        self._err, self._deltas, self._cand = buffer[matrices:vectors].reshape(
-            3, k, n
-        )
-        per_lane = buffer[vectors:].reshape(len(_VECTORS), k)
-        self._dirty = per_lane[0]
-        self._dirty[:] = 1
-        #: the last round of ``lanes_run``, per lane: (at a local minimum?,
-        #: the swap tie's draw, the move accepted?)
-        self._last_round = per_lane[2:5]
-        #: ... and whether the lane took a partial reset in it
-        self._i_sel, self._delta, self.resets, self._bitgen = per_lane[5:]
-        state = native.address(buffer)
-        err = state + 8 * matrices
-        self.block = native.LaneBlock(
-            kind=kind, m=k, n=n, order=order, state_size=state_size,
-            state=state, err=err, deltas=err + 8 * k * n,
-            table=None if self._table is None else native.address(self._table),
-            cand=err + 16 * k * n,
-            **{
-                field: state + 8 * (vectors + k * index)
-                for index, field in enumerate(_VECTORS)
-            },
-        )
-        #: the arrays the block points into that this object does not own
-        self._bound: tuple = ()
-        self._configs: Optional[np.ndarray] = None
+        self.block = native.LaneBlock.from_buffer(buffer)
+        head = buffer[:_HEAD]
+        np.multiply(layout.pointers, ctypes.addressof(self.block), out=head)
+        head += layout.head(config, k)
+        # what set-up and the walk touch, in _ARRAYS order; the scratch
+        # and the state are views made when asked for
+        at = _HEAD + 3 * k * self.n
+        self._configs, marks, best_configs = buffer[_HEAD:at].reshape(3, k, -1)
+        stats = buffer[at : at + 7 * k].reshape(7, k)
+        at += 7 * k
+        costs = buffer[at : at + 2 * k].view(np.float64).reshape(2, k)
+        at += 2 * k
+        self._arrays = (self._configs, marks, best_configs, stats, *costs)
+        self._vectors = buffer[at : at + len(_VECTORS) * k].reshape(-1, k)
+        self._vectors[_DIRTY] = 1
+        #: where the scratch starts
+        self._scratch_at = at + len(_VECTORS) * k
+        self._rngs: Sequence[np.random.Generator] = ()
 
-    def bind(
-        self,
-        configs: np.ndarray,
-        marks: np.ndarray,
-        cost: np.ndarray,
-        best_cost: np.ndarray,
-        best_configs: np.ndarray,
-        stats: np.ndarray,
-        config: Any,
-        rngs: Sequence[np.random.Generator],
-    ) -> None:
-        """Point the block at the engine's arrays, its solver parameters
-        and each lane's generator (which the caller leaves alone while
-        ``lanes_run`` runs)."""
-        k, n = self.k, self.n
-        if len(rngs) != k:
-            raise ValueError(f"got {len(rngs)} generators for {k} lanes")
-        for array in (configs, marks, best_configs):
-            _require(array, np.int64, (k, n))
-        _require(stats, np.int64, (7, k))
-        for array in (cost, best_cost):
-            _require(array, np.float64, (k,))
-        self._bound = (
-            configs, marks, cost, best_cost, best_configs, stats, rngs
-        )
-        self._configs = configs
-        block = self.block
-        block.configs = native.address(configs)
-        block.marks = native.address(marks)
-        block.best_configs = native.address(best_configs)
-        block.stats = native.address(stats)
-        block.cost = native.address(cost)
-        block.best_cost = native.address(best_cost)
-        block.plateau_is_local_min = bool(config.plateau_is_local_min)
-        block.freeze_swap = int(config.freeze_swap)
-        block.freeze_loc_min = int(config.freeze_loc_min)
-        block.reset_limit = int(config.reset_limit)
-        # csp.permutation.random_partial_reset's count, to the float
-        block.reset_swaps = max(1, math.ceil(config.reset_fraction * n / 2.0))
-        block.prob_select_loc_min = config.prob_select_loc_min
-        block.target_cost = config.target_cost
-        bitgen = self._bitgen
+    @property
+    def _dirty(self) -> np.ndarray:
+        """Per lane: must its state be rebuilt before it is next read?"""
+        return self._vectors[_DIRTY]
+
+    @property
+    def resets(self) -> np.ndarray:
+        """Per lane: did it take a partial reset in the last round?"""
+        return self._vectors[_RESETS]
+
+    @property
+    def _scratch(self) -> np.ndarray:
+        """The ``(k, n)`` errors, deltas and tied candidates, stacked."""
+        at, size = self._scratch_at, 3 * self.k * self.n
+        return self._buffer[at : at + size].reshape(3, self.k, self.n)
+
+    @property
+    def _state(self) -> np.ndarray:
+        """Every lane's derived state, ``(k, state_size)``."""
+        at = self._scratch_at + 3 * self.k * self.n
+        return self._buffer[at:].reshape(self.k, -1)
+
+    def lane_arrays(self, config: Any = None) -> tuple[np.ndarray, ...]:
+        """The engine's arrays, where the block points (int64 marks, the
+        one width ``lanes.c`` reads)."""
+        return self._arrays
+
+    def bind(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Give the block each lane's generator (which the caller leaves
+        alone while ``lanes_run`` runs)."""
+        if len(rngs) != self.k:
+            raise ValueError(f"got {len(rngs)} generators for {self.k} lanes")
+        bitgen = self._vectors[_BITGEN]
         for lane, rng in enumerate(rngs):
             bitgen[lane] = native.bitgen_address(rng)
+        self._rngs = rngs
 
     def moves(self) -> tuple[list[int], list[int], list[int]]:
         """What the last round of ``lanes_run`` did, per lane, as an
         observer of the iteration is told it: the variable selected (-1:
         every variable frozen, nothing selected), the partner it was
         swapped with (-1: no swap executed) and the selection's delta."""
-        local_min, draw, accepted = self._last_round.tolist()
-        partner = self._cand.item
+        vectors = self._vectors.tolist()
+        local_min, draw, accepted = vectors[_LOCAL_MIN : _ACCEPT + 1]
+        partner = self._scratch[2].item
         executed = [
             partner(lane, draw[lane])
             if accepted[lane] or not local_min[lane]
             else -1
             for lane in range(self.k)
         ]
-        return self._i_sel.tolist(), executed, self._delta.tolist()
+        return vectors[_I_SEL], executed, vectors[_DELTA]
 
     # -- the VectorProblem protocol, one kernel per call ---------------
     def begin_round(self, configs: np.ndarray) -> None:
@@ -771,19 +876,15 @@ class CompiledLanes(VectorProblem):
             self.block.configs = native.address(configs)
 
     def errors(self) -> np.ndarray:
-        if self._configs is None:
-            raise ValueError("begin_round() comes first")
         self.lib.lanes_errors(self.block)
-        return self._err
+        return self._scratch[0]
 
     def deltas(self, i_sel: np.ndarray) -> np.ndarray:
-        if self._configs is None:
-            raise ValueError("begin_round() comes first")
         if i_sel.min() < 0 or i_sel.max() >= self.n:
             raise ValueError("selected variable out of range")
-        self._i_sel[:] = i_sel
+        self._vectors[_I_SEL] = i_sel
         self.lib.lanes_deltas(self.block)
-        return self._deltas
+        return self._scratch[1]
 
     def notify_swaps(
         self,
@@ -801,16 +902,12 @@ class CompiledLanes(VectorProblem):
         self._dirty[lanes] = 1
 
     def lane_costs(self, configs: np.ndarray) -> np.ndarray:
-        _require(configs, np.int64, (self.k, self.n))
-        costs = np.empty(self.k, dtype=np.float64)
-        block = self.block
-        held = block.configs, block.cost
-        block.configs, block.cost = native.address(configs), native.address(costs)
-        self.lib.lanes_costs(block)
-        block.configs, block.cost = held
-        # the state now describes ``configs``, whatever matrix is bound
-        self._dirty[:] = 1
-        return costs
+        """The costs of ``configs``, which the block now points at
+        (:meth:`begin_round`) and whose state it now holds, in the batch's
+        own cost array (:meth:`lane_arrays`)."""
+        self.begin_round(configs)
+        self.lib.lanes_costs(self.block)
+        return self._arrays[4]
 
 
 # ----------------------------------------------------------------------

@@ -56,12 +56,13 @@ class TestNodeDeath:
             client = cluster.client()
             problem = make_problem("magic_square", n=24)
             # a node's two walks advance together as lanes, so the job
-            # lasts as long as its *fastest* walk: under seed 5 every walk
-            # needs 260k+ iterations (≈ 6 s of compiled two-lane rounds,
-            # longer on the NumPy round), which outlives the kill at 0.5s
-            # *and* its detection a heartbeat timeout later with room to
-            # spare
-            handle = client.submit(problem, 4, seed=5, config=CFG)
+            # lasts as long as its *fastest* walk: under seed 29 every walk
+            # needs 1.1M+ iterations (≈ 3 s of compiled two-lane rounds at
+            # ≈ 1.5 µs a lane-iteration, longer on the NumPy round), which
+            # outlives the kill at 0.5s *and* its detection a heartbeat
+            # timeout later with room to spare, whichever node runs which
+            # two walks
+            handle = client.submit(problem, 4, seed=29, config=CFG)
             result = handle.result(timeout=300)
             assert result.status is JobStatus.SOLVED
             assert problem.is_solution(result.config)
