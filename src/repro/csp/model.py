@@ -220,10 +220,14 @@ class Model:
         error, unweighted (``weights * scale`` is exactly 1), so integer
         arithmetic reproduces the float kernels bit for bit.  One int64
         array, ``[rows, rhs[rows], relation[rows], start[n + 1],
-        row[nnz], coef[nnz]]`` — the relation as its index in
-        :class:`~repro.csp.constraints.Relation`, and variable ``x``'s rows
-        and coefficients at ``start[x] .. start[x + 1]`` — is
-        what the ``LINEAR`` kind of ``repro/vector/lanes.c`` reads.
+        row[nnz], coef[nnz], rstart[rows + 1], var[nnz], rcoef[nnz]]`` —
+        the relation as its index in
+        :class:`~repro.csp.constraints.Relation`, variable ``x``'s rows
+        and coefficients at ``start[x] .. start[x + 1]``, and row ``r``'s
+        variables and coefficients at ``rstart[r] .. rstart[r + 1]`` (the
+        same entries by row, variables ascending: the transpose) — is what
+        the ``LINEAR`` kind of ``repro/vector/lanes.c`` reads; it updates
+        and sums errors by variable and prices a swap by row.
         """
         constraints = self.constraints
         if not constraints:
@@ -242,11 +246,26 @@ class Model:
         head = [len(constraints)]
         head += [int(constraint.rhs) for constraint in constraints]
         head += [relations.index(constraint.relation) for constraint in constraints]
+        coefficients = self._linear.coefficients[rows, variables].astype(np.int64)
+        # the transpose, by a cursor per row over the entries in variable
+        # order (a counting sort: a first NumPy sort would fault in ~0.1 MB
+        # of its code in every process that builds a table)
+        rstart = np.zeros(len(constraints) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(constraints)), out=rstart[1:])
+        cursor = rstart[:-1].tolist()
+        at = []
+        for row in rows.tolist():
+            at.append(cursor[row])
+            cursor[row] += 1
+        by_row = np.empty((2, len(rows)), dtype=np.int64)
+        by_row[:, at] = variables, coefficients
         return np.concatenate([
             np.asarray(head, dtype=np.int64),
             start,
             rows,
-            self._linear.coefficients[rows, variables].astype(np.int64),
+            coefficients,
+            rstart,
+            by_row.reshape(-1),
         ])
 
     def incidence_index(self) -> tuple[np.ndarray, np.ndarray]:

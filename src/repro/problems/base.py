@@ -115,7 +115,11 @@ class Problem(ABC):
     def random_configuration(self, seed: SeedLike = None) -> np.ndarray:
         """Uniform random permutation of the value range."""
         rng = as_generator(seed)
-        return rng.permutation(self.size).astype(np.int64) + self.value_base
+        config = rng.permutation(self.size).astype(np.int64, copy=False)
+        base = self.value_base
+        if base:
+            config += base
+        return config
 
     def check_configuration(self, config: np.ndarray) -> None:
         """Validate a configuration; raise :class:`ProblemError` if invalid."""

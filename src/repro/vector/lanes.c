@@ -28,14 +28,30 @@
  *                  error, and a scratch for the selected variable's
  *                  coefficient on it
  *
- * The two count-table families price a swap by moving the differences it
- * changes between buckets (each single move changes the cost by an exact
- * -1 / 0 / +1) and, for a probe, moving them back.  The linear kind reads a
- * constant table shared by every lane of an engine (per row its rhs and
- * relation, per variable its rows and coefficients); a variable's error is
- * the sum of its rows' errors, and a swap of i and j moves each row that
- * touches them by (c_ri - c_rj)(v[j] - v[i]), so a probe re-prices those
- * rows only.
+ * An iteration prices the swap of the selected variable i with every
+ * partner j, and every kind does i's side of that once, not once per j:
+ *
+ *   magic square   each partner in O(1) from i's row, column and diagonals
+ *   all-interval   i's two differences leave their buckets once; per j
+ *                  further than a neighbour, j's leave, the four new ones
+ *                  arrive and all but i's departures are undone (a
+ *                  neighbour shares a difference with i: moved pairwise)
+ *   costas         every pair through i leaves once, its bucket kept per
+ *                  third position p; per j, three moves a p and the flipped
+ *                  pair (i, j), then all but i's departures are undone
+ *   linear         row by row: on each of i's rows one branch-free pass
+ *                  over every partner, then on every row its members'
+ *                  corrections, the row's relation tested once
+ *
+ * A count table's cost is the sum over buckets of max(count - 1, 0); one
+ * item leaving or arriving changes it by an exact -1 / 0 / +1 given the
+ * counts of the moment, so the changes of any sequence of moves sum to the
+ * final less the initial cost, whatever their order, and a probe is that
+ * sum.  The linear kind reads a constant table shared by every lane of an
+ * engine (per row its rhs and relation, per variable its rows and
+ * coefficients, per row its variables and coefficients); a variable's
+ * error is the sum of its rows' errors, and a swap of i and j moves each
+ * row that touches them by (c_ri - c_rj)(v[j] - v[i]).
  *
  * Plain C99, one translation unit, no Python.h, built at -O3 (native.FLAGS).
  * Where the compiler is GCC 11.3 or later on x86-64 glibc (the #if before
@@ -86,7 +102,8 @@ typedef struct {
     int64_t *dirty; /* (m,) */
     /* constant for an engine: the LINEAR kind's table (see linear_view) */
     const int64_t *table;
-    /* scratch */
+    /* scratch (cand also holds costas' per-position buckets while a
+     * lane's deltas are priced) */
     int64_t *err, *deltas, *cand; /* (m, n) */
     /* the last round, as an observer of it is told: swap partners tied for
      * the least delta (in cand) and the one drawn, at a local minimum?,
@@ -218,14 +235,28 @@ static int64_t table_cost(const int64_t *counts, int64_t size)
     return cost;
 }
 
+/* one item leaves bucket b, or arrives in it: the cost change, exact on
+ * the counts of the moment, so that the changes of any sequence of moves
+ * sum to the cost after it less the cost before it */
+static inline int64_t table_leave(int64_t *counts, int64_t b)
+{
+    const int64_t change = -(counts[b] > 1);
+    counts[b] -= 1;
+    return change;
+}
+
+static inline int64_t table_arrive(int64_t *counts, int64_t b)
+{
+    const int64_t change = counts[b] >= 1;
+    counts[b] += 1;
+    return change;
+}
+
 /* one item leaves bucket `from` for bucket `to`: the cost change */
 static inline int64_t table_move(int64_t *counts, int64_t from, int64_t to)
 {
-    int64_t change = -(counts[from] > 1);
-    counts[from] -= 1;
-    change += counts[to] >= 1;
-    counts[to] += 1;
-    return change;
+    const int64_t change = table_leave(counts, from);
+    return change + table_arrive(counts, to);
 }
 
 /* ------------------------------------------------------------------ */
@@ -276,6 +307,65 @@ static int64_t interval_shift(const int64_t *v, int64_t *counts, int64_t n,
     return change;
 }
 
+/* Deltas of swapping i with every j.  A neighbour of i shares a difference
+ * with it: interval_shift prices it on the untouched counts.  Then i's
+ * differences leave their buckets, once; per partner j further away, j's
+ * differences leave, the four new ones arrive (v[j] beside i's neighbours,
+ * v[i] beside j's) and all but i's departures are undone.  Entry i is 0. */
+static void interval_deltas(const int64_t *v, int64_t *counts, int64_t n,
+                            int64_t i, int64_t *out)
+{
+    const int64_t vi = v[i], has_l = i > 0, has_r = i + 1 < n;
+    const int64_t vl = has_l ? v[i - 1] : 0, vr = has_r ? v[i + 1] : 0;
+    int64_t gone = 0;
+    out[i] = 0;
+    for (int64_t j = i - 1; j <= i + 1; j += 2)
+        if (j >= 0 && j < n) {
+            out[j] = interval_shift(v, counts, n, i, j, 0);
+            interval_shift(v, counts, n, i, j, 1);
+        }
+    if (has_l)
+        gone += table_leave(counts, iabs(vi - vl));
+    if (has_r)
+        gone += table_leave(counts, iabs(vr - vi));
+    for (int64_t j = 0; j < n; j++) {
+        if (j >= i - 1 && j <= i + 1)
+            continue;
+        const int64_t vj = v[j], has_jl = j > 0, has_jr = j + 1 < n;
+        const int64_t jl = has_jl ? v[j - 1] : 0, jr = has_jr ? v[j + 1] : 0;
+        int64_t delta = gone;
+        if (has_jl)
+            delta += table_leave(counts, iabs(vj - jl));
+        if (has_jr)
+            delta += table_leave(counts, iabs(jr - vj));
+        if (has_l)
+            delta += table_arrive(counts, iabs(vj - vl));
+        if (has_r)
+            delta += table_arrive(counts, iabs(vr - vj));
+        if (has_jl)
+            delta += table_arrive(counts, iabs(vi - jl));
+        if (has_jr)
+            delta += table_arrive(counts, iabs(jr - vi));
+        out[j] = delta;
+        if (has_jl) {
+            counts[iabs(vj - jl)] += 1;
+            counts[iabs(vi - jl)] -= 1;
+        }
+        if (has_jr) {
+            counts[iabs(jr - vj)] += 1;
+            counts[iabs(jr - vi)] -= 1;
+        }
+        if (has_l)
+            counts[iabs(vj - vl)] -= 1;
+        if (has_r)
+            counts[iabs(vr - vj)] -= 1;
+    }
+    if (has_l)
+        counts[iabs(vi - vl)] += 1;
+    if (has_r)
+        counts[iabs(vr - vi)] += 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* costas                                                              */
 /* ------------------------------------------------------------------ */
@@ -302,23 +392,17 @@ static void costas_errors(const int64_t *v, const int64_t *counts, int64_t n,
 }
 
 /* Move every difference that involves position i or j to the bucket it
- * falls in once v[i] and v[j] are swapped (v itself is not touched), or,
- * with undo set, back again: the 2(n - 2) pairs with a third position p,
- * then the pair (i, j) itself, whose difference changes sign.  Returns the
- * cost change of the forward move. */
-static int64_t costas_shift(const int64_t *v, int64_t *counts, int64_t n,
-                            int64_t i, int64_t j, int undo)
+ * falls in once v[i] and v[j] are swapped (v itself is not touched): the
+ * 2(n - 2) pairs with a third position p, then the pair (i, j) itself,
+ * whose difference changes sign. */
+static void costas_shift(const int64_t *v, int64_t *counts, int64_t n,
+                         int64_t i, int64_t j)
 {
     const int64_t width = 2 * n - 1, off = n - 1;
     const int64_t vi = v[i], vj = v[j];
     const int64_t lo = i < j ? i : j, hi = i < j ? j : i;
-    int64_t change = 0;
 #define MOVE(distance, before, after)                                        \
-    do {                                                                     \
-        int64_t *row = counts + (distance) * width + off;                    \
-        change += undo ? table_move(row, (after), (before))                  \
-                       : table_move(row, (before), (after));                 \
-    } while (0)
+    table_move(counts + (distance) * width + off, (before), (after))
     for (int64_t p = 0; p < n; p++) {
         if (p == i || p == j)
             continue;
@@ -334,7 +418,81 @@ static int64_t costas_shift(const int64_t *v, int64_t *counts, int64_t n,
     }
     MOVE(hi - lo, v[hi] - v[lo], v[lo] - v[hi]);
 #undef MOVE
+}
+
+/* The pairs (p, i) and (p, j) for p in [from, to), on one side of i (si:
+ * +1 above it, -1 below) and of j (sj): the bucket of (p, i) when i holds
+ * x is at[p] - si x, that of (p, j) when j holds y is row - sj y.  Forward,
+ * (p, j) leaves and the moved (p, i) and (p, j) arrive, returning the cost
+ * change; with undo set, the three are undone. */
+static inline int64_t costas_span(const int64_t *v, int64_t *counts,
+                                  const int64_t *at, int64_t from, int64_t to,
+                                  int64_t si, int64_t sj, int64_t j,
+                                  int64_t vi, int64_t vj, int64_t width,
+                                  int64_t off, int undo)
+{
+    const int64_t i_gets = si * vj, j_had = sj * vj, j_gets = sj * vi;
+    int64_t change = 0;
+    for (int64_t p = from; p < to; p++) {
+        const int64_t row = off + sj * ((p - j) * width + v[p]);
+        if (undo) {
+            counts[row - j_had] += 1;
+            counts[at[p] - i_gets] -= 1;
+            counts[row - j_gets] -= 1;
+        } else {
+            change += table_leave(counts, row - j_had);
+            change += table_arrive(counts, at[p] - i_gets);
+            change += table_arrive(counts, row - j_gets);
+        }
+    }
     return change;
+}
+
+/* Deltas of swapping i with every j.  Every pair (p, i) leaves its bucket
+ * once, and at[p] keeps that bucket's row, offset by p's value and signed
+ * as the pair's difference (at[] is the lane's candidate scratch, free
+ * while pricing runs).  Per partner j: for every third p, three moves
+ * (costas_span), then the flipped (i, j) arrives, and everything but i's
+ * departures is undone.  Entry i is 0. */
+static void costas_deltas(const int64_t *v, int64_t *counts, int64_t n,
+                          int64_t i, int64_t *at, int64_t *out)
+{
+    const int64_t width = 2 * n - 1, off = n - 1, vi = v[i];
+    int64_t gone = 0;
+    for (int64_t p = 0; p < i; p++) {
+        at[p] = (i - p) * width + off - v[p];
+        gone += table_leave(counts, at[p] + vi);
+    }
+    for (int64_t p = i + 1; p < n; p++) {
+        at[p] = (p - i) * width + off + v[p];
+        gone += table_leave(counts, at[p] - vi);
+    }
+    out[i] = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (j == i)
+            continue;
+        const int64_t vj = v[j], lo = i < j ? i : j, hi = i < j ? j : i;
+        const int64_t s = j > i ? 1 : -1; /* j's side of i */
+        const int64_t flip = at[j] + s * (vi - 2 * vj);
+        int64_t delta = gone;
+        delta += costas_span(v, counts, at, 0, lo, -1, -1, j, vi, vj, width,
+                             off, 0);
+        delta += costas_span(v, counts, at, lo + 1, hi, s, -s, j, vi, vj,
+                             width, off, 0);
+        delta += costas_span(v, counts, at, hi + 1, n, 1, 1, j, vi, vj, width,
+                             off, 0);
+        delta += table_arrive(counts, flip);
+        out[j] = delta;
+        costas_span(v, counts, at, 0, lo, -1, -1, j, vi, vj, width, off, 1);
+        costas_span(v, counts, at, lo + 1, hi, s, -s, j, vi, vj, width, off,
+                    1);
+        costas_span(v, counts, at, hi + 1, n, 1, 1, j, vi, vj, width, off, 1);
+        counts[flip] -= 1;
+    }
+    for (int64_t p = 0; p < i; p++)
+        counts[at[p] + vi] += 1;
+    for (int64_t p = i + 1; p < n; p++)
+        counts[at[p] - vi] += 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -345,11 +503,15 @@ static int64_t costas_shift(const int64_t *v, int64_t *counts, int64_t n,
 enum { EQ, NE, LE, LT, GE, GT };
 
 /* The table, one int64 array (csp.model.Model.unit_linear_table):
- * [rows, rhs[rows], relation[rows], start[n + 1], row[nnz], coef[nnz]];
+ * [rows, rhs[rows], relation[rows], start[n + 1], row[nnz], coef[nnz],
+ *  rstart[rows + 1], var[nnz], rcoef[nnz]];
  * variable x is in rows row[start[x] .. start[x + 1]), with coefficients
- * coef[...] of +-1. */
+ * coef[...] of +-1, and row r holds variables var[rstart[r] ..
+ * rstart[r + 1]), with coefficients rcoef[...]: the same entries, by
+ * variable and by row. */
 typedef struct {
     const int64_t *rhs, *relation, *start, *row, *coef;
+    const int64_t *rstart, *var, *rcoef;
     int64_t rows;
 } linear_table;
 
@@ -362,24 +524,32 @@ static linear_table linear_view(const int64_t *table, int64_t n)
     t.start = t.relation + t.rows;
     t.row = t.start + n + 1;
     t.coef = t.row + t.start[n];
+    t.rstart = t.coef + t.start[n];
+    t.var = t.rstart + t.rows + 1;
+    t.rcoef = t.var + t.start[n];
     return t;
 }
 
-/* csp.error_functions, for an integer left-hand side.  Equality, the
- * relation of every row of a magic square, is tested before the switch: a
- * predictable branch where the switch is an indirect jump. */
-static inline int64_t row_error(const linear_table *t, int64_t r, int64_t lhs)
+/* csp.error_functions, for a left-hand side d above the right-hand side.
+ * Equality, the relation of every row of a magic square, is tested before
+ * the switch: a predictable branch where the switch is an indirect jump
+ * (and, for a constant relation, the whole body folds to one case). */
+static inline int64_t relation_error(int64_t relation, int64_t d)
 {
-    const int64_t d = lhs - t->rhs[r];
-    if (t->relation[r] == EQ)
+    if (relation == EQ)
         return iabs(d);
-    switch (t->relation[r]) {
+    switch (relation) {
     case NE: return d == 0;
     case LE: return d > 0 ? d : 0;
     case LT: return d >= 0 ? d + 1 : 0;
     case GE: return d < 0 ? -d : 0;
     default: return d <= 0 ? 1 - d : 0; /* GT */
     }
+}
+
+static inline int64_t row_error(const linear_table *t, int64_t r, int64_t lhs)
+{
+    return relation_error(t->relation[r], lhs - t->rhs[r]);
 }
 
 /* A lane's state is three rows-long vectors: lhs, the rows' errors, and a
@@ -418,34 +588,53 @@ static void linear_errors(const int64_t *lhs, const linear_table *t,
     }
 }
 
-/* Swapping i and j moves a row by (c_ri - c_rj) dv (dv = v[j] - v[i], a
- * coefficient 0 off the row).  Per j: i's rows as if j were on none of
- * them, then each of j's rows, which on a row of i replaces that guess. */
+/* Row r's share of every delta, for one relation (a constant where it is
+ * called, so each copy is one case).  Swapping i and j moves r by
+ * (c - c_rj) dv_j, with c = c_ri and dv_j = v[j] - v[i] (a coefficient is
+ * 0 off the row).  On a row of i, every partner is first priced as if it
+ * were off r, in one branch-free pass; then each member x of r replaces
+ * that guess (no change where c = 0) with its own coefficient. */
+static inline void linear_row_deltas(int64_t relation, const int64_t *v,
+                                     const linear_table *t, int64_t r,
+                                     int64_t d, int64_t c, int64_t n,
+                                     int64_t vi, int64_t *out)
+{
+    if (c) {
+        const int64_t was = relation_error(relation, d);
+        for (int64_t j = 0; j < n; j++)
+            out[j] += relation_error(relation, d + c * (v[j] - vi)) - was;
+    }
+    for (int64_t k = t->rstart[r]; k < t->rstart[r + 1]; k++) {
+        const int64_t x = t->var[k], dv = v[x] - vi;
+        out[x] += relation_error(relation, d + (c - t->rcoef[k]) * dv)
+                  - relation_error(relation, d + c * dv);
+    }
+}
+
+/* Deltas of swapping i with every j, row by row, the relation tested once
+ * a row.  Entry i comes out 0 (dv = 0). */
 static void linear_deltas(const int64_t *v, int64_t *lhs,
                           const linear_table *t, int64_t n, int64_t i,
                           int64_t *out)
 {
-    const int64_t *row = t->row, *coef = t->coef, *err = lhs + t->rows;
     const int64_t i_first = t->start[i], i_end = t->start[i + 1], vi = v[i];
     int64_t *ci = lhs + 2 * t->rows;
+    memset(out, 0, (size_t)n * sizeof(int64_t));
     for (int64_t a = i_first; a < i_end; a++)
-        ci[row[a]] = coef[a];
-    for (int64_t j = 0; j < n; j++) {
-        const int64_t dv = v[j] - vi;
-        int64_t delta = 0;
-        for (int64_t a = i_first; a < i_end; a++) {
-            const int64_t r = row[a];
-            delta += row_error(t, r, lhs[r] + coef[a] * dv) - err[r];
+        ci[t->row[a]] = t->coef[a];
+    for (int64_t r = 0; r < t->rows; r++) {
+        const int64_t d = lhs[r] - t->rhs[r], c = ci[r];
+        switch (t->relation[r]) {
+        case EQ: linear_row_deltas(EQ, v, t, r, d, c, n, vi, out); break;
+        case NE: linear_row_deltas(NE, v, t, r, d, c, n, vi, out); break;
+        case LE: linear_row_deltas(LE, v, t, r, d, c, n, vi, out); break;
+        case LT: linear_row_deltas(LT, v, t, r, d, c, n, vi, out); break;
+        case GE: linear_row_deltas(GE, v, t, r, d, c, n, vi, out); break;
+        default: linear_row_deltas(GT, v, t, r, d, c, n, vi, out); break;
         }
-        for (int64_t b = t->start[j]; b < t->start[j + 1]; b++) {
-            const int64_t r = row[b], c = ci[r];
-            delta += row_error(t, r, lhs[r] + (c - coef[b]) * dv)
-                     - (c ? row_error(t, r, lhs[r] + c * dv) : err[r]);
-        }
-        out[j] = delta;
     }
     for (int64_t a = i_first; a < i_end; a++)
-        ci[row[a]] = 0;
+        ci[t->row[a]] = 0;
 }
 
 static void linear_swap(const int64_t *v, int64_t *lhs, const linear_table *t,
@@ -527,25 +716,15 @@ static void lane_deltas(const lane_block *b, int64_t l, int64_t i)
     const int64_t *v = b->configs + l * n;
     int64_t *state = b->state + l * b->state_size;
     int64_t *out = b->deltas + l * n;
-    if (b->kind == MAGIC_SQUARE) {
-        magic_deltas(v, state, b->order, i, out);
-        return;
-    }
-    if (b->kind == LINEAR) {
+    switch (b->kind) {
+    case MAGIC_SQUARE: magic_deltas(v, state, b->order, i, out); break;
+    case ALL_INTERVAL: interval_deltas(v, state, n, i, out); break;
+    case LINEAR: {
         const linear_table t = linear_view(b->table, n);
         linear_deltas(v, state, &t, n, i, out);
-        return;
+        break;
     }
-    for (int64_t j = 0; j < n; j++) {
-        if (j == i) {
-            out[j] = 0;
-        } else if (b->kind == ALL_INTERVAL) {
-            out[j] = interval_shift(v, state, n, i, j, 0);
-            interval_shift(v, state, n, i, j, 1);
-        } else {
-            out[j] = costas_shift(v, state, n, i, j, 0);
-            costas_shift(v, state, n, i, j, 1);
-        }
+    default: costas_deltas(v, state, n, i, b->cand + l * n, out); break;
     }
 }
 
@@ -562,7 +741,7 @@ static void lane_swap(const lane_block *b, int64_t l, int64_t i, int64_t j)
         linear_swap(v, state, &t, i, j);
         break;
     }
-    default: costas_shift(v, state, b->n, i, j, 0); break;
+    default: costas_shift(v, state, b->n, i, j); break;
     }
     exchange(v, i, j);
 }

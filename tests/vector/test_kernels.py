@@ -234,6 +234,12 @@ class TestFitCheck:
 # past the NumPy masks (MAX_N 32 / 62), and a magic square on int32 sums
 PAST_THE_LIMITS = [("costas", 34), ("all_interval", 70), ("magic_square", 34)]
 
+# the count-table kinds price i's side once and each partner against it; at
+# these orders every partner is next to i or at an end of the series
+SMALL_ORDERS = [
+    (family, n) for family in ("all_interval", "costas") for n in (2, 3, 4, 5)
+]
+
 
 @needs_compiled
 class TestCompiledKernels:
@@ -260,7 +266,9 @@ class TestCompiledKernels:
             compiled.lane_costs(configs), adapter.lane_costs(configs)
         )
 
-    @pytest.mark.parametrize("family,n", ADAPTER_CASES + PAST_THE_LIMITS)
+    @pytest.mark.parametrize(
+        "family,n", ADAPTER_CASES + PAST_THE_LIMITS + SMALL_ORDERS
+    )
     def test_after_swaps_and_rewritten_rows(self, family, n):
         problem = make_problem(family, n=n)
         k, size = 4, problem.size
@@ -354,6 +362,32 @@ class TestCompiledRound:
                 config, make_problem(family, n=n), seed
             )
             assert_walks_equal(scalar, walks[lane], f"{family}-{n} lane={lane}")
+
+    @pytest.mark.parametrize("family,n", [("all_interval", 100), ("costas", 18)])
+    def test_one_lane_is_the_session_at_paper_scale(self, family, n):
+        """The orders the benchmark walks stop at 18 variables: one lane of
+        all-interval 100 and of costas 18 against the session for a fixed
+        budget, field for field and the generator's end state; once on the
+        problem's tuning, once churning through resets and restarts."""
+        churn = dataclasses.replace(
+            CHURN, restart_limit=1000, max_iterations=3000
+        )
+        for seed, config in (
+            (0, AdaptiveSearchConfig(max_iterations=3000)), (1, churn),
+        ):
+            lane_rng = np.random.default_rng(seed)
+            engine = VectorWalkEngine(
+                make_problem(family, n=n), 1, config, seeds=[lane_rng]
+            )
+            assert isinstance(engine.vp, CompiledLanes)
+            lane = engine.run().walks[0]
+            session_rng = np.random.default_rng(seed)
+            witness = session_walk(config, make_problem(family, n=n), session_rng)
+            assert witness.stats.iterations == 3000
+            assert_walks_equal(witness, lane, f"{family}-{n} seed={seed}")
+            assert (
+                lane_rng.bit_generator.state == session_rng.bit_generator.state
+            )
 
     def test_an_explicit_adapter_pins_the_numpy_round(self):
         problem = make_problem("costas", n=8)

@@ -238,6 +238,50 @@ def coefficient_two_model():
     return ModelProblem(model)
 
 
+def idle_variable_model():
+    """Variable 6 is on no row: its every delta is what i's rows say."""
+    model = Model("idle")
+    x = model.add_array("x", 7, IntegerDomain(1, 7))
+    model.declare_permutation(x)
+    model.add_constraint(LinearConstraint([0, 1, 2], [1, 1, 1], "==", 12))
+    model.add_constraint(LinearConstraint([2, 3, 4], [1, -1, 1], "<=", 4))
+    model.add_constraint(LinearConstraint([4, 5, 0], [1, 1, -1], ">", 6))
+    return ModelProblem(model)
+
+
+def opposite_signs_model():
+    """Rows on which two variables carry opposite signs: swapping them
+    moves the row by (c_ri - c_rj) dv = +-2 dv."""
+    model = Model("opposite")
+    x = model.add_array("x", 6, IntegerDomain(0, 5))
+    model.declare_permutation(x)
+    model.add_constraint(LinearConstraint([0, 1], [1, -1], "==", 1))
+    model.add_constraint(LinearConstraint([2, 3, 4], [-1, 1, 1], "==", 4))
+    model.add_constraint(LinearConstraint([1, 5], [-1, 1], ">=", 2))
+    model.add_constraint(LinearConstraint([3, 4, 5], [1, -1, -1], "!=", -3))
+    return ModelProblem(model)
+
+
+def table_halves(model):
+    """The table's two halves as (variable, row, coefficient) entries: by
+    variable, and by row."""
+    table = model.unit_linear_table
+    n, rows = model.n_variables, int(table[0])
+    at = 1 + 2 * rows
+    start = table[at : at + n + 1]
+    nnz = int(start[-1])
+    at += n + 1
+    row, coef = table[at : at + nnz], table[at + nnz : at + 2 * nnz]
+    at += 2 * nnz
+    rstart = table[at : at + rows + 1]
+    at += rows + 1
+    var, rcoef = table[at : at + nnz], table[at + nnz : at + 2 * nnz]
+    assert at + 2 * nnz == len(table)
+    by_variable = np.stack([np.repeat(np.arange(n), np.diff(start)), row, coef])
+    by_row = np.stack([var, np.repeat(np.arange(rows), np.diff(rstart)), rcoef])
+    return by_variable, by_row
+
+
 class TestWhoGetsLanes:
     @pytest.mark.parametrize(
         "problem",
@@ -287,3 +331,38 @@ class TestWhoGetsLanes:
         model.add_constraint(LinearConstraint([0, 1], [1, 2], "==", 4))
         assert model.unit_linear_table is None
         assert lane_kernel(ModelProblem(model)) == "scalar"
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_problem("magic_square_model", n=4),
+            every_relation_model(seed=0),
+            idle_variable_model(),
+            opposite_signs_model(),
+        ],
+        ids=["magic-4", "relations-0", "idle", "opposite"],
+    )
+    def test_the_row_half_is_the_transpose_of_the_variable_half(self, problem):
+        by_variable, by_row = table_halves(problem.model)
+        # the same entries, each row's variables ascending
+        order = np.lexsort((by_variable[0], by_variable[1]))
+        assert np.array_equal(by_row, by_variable[:, order])
+        assert set(np.abs(by_row[2]).tolist()) == {1}
+
+
+@needs_compiled
+class TestRowEdges:
+    """Lane against session, field for field and the generator's end
+    state, on the rows that pricing by row meets."""
+
+    @pytest.mark.parametrize("label", sorted(CONFIGS))
+    @pytest.mark.parametrize(
+        "model", [idle_variable_model, opposite_signs_model],
+        ids=["idle-variable", "opposite-signs"],
+    )
+    def test_lane_is_the_session(self, model, label):
+        problem = model()
+        assert lane_kernel(problem) == "compiled"
+        config = CONFIGS[label].replace(max_iterations=300)
+        for seed in SEEDS:
+            assert_lane_is_session(config, problem, seed, f"seed {seed}")
