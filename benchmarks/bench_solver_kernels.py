@@ -71,8 +71,9 @@ def bench_solver_iteration_rate(benchmark):
 
 
 # ----------------------------------------------------------------------
-# vector-walk kernels: the batched counterparts of the scalar kernels
-# above, timed per lane so the numbers are directly comparable
+# vector-walk kernels: the compiled counterparts of the scalar kernels
+# above (lanes.c, one kernel per call), timed per lane so the numbers are
+# directly comparable; without the library there is nothing to time
 # ----------------------------------------------------------------------
 VECTOR_PROBLEMS = [
     ("costas", {"n": 14}),
@@ -83,10 +84,14 @@ VECTOR_K = 128
 
 
 def _vector_fixture(family, params):
-    from repro.vector.problems import as_vector_problem
+    from repro.vector import kernel_backend
+    from repro.vector.problems import CompiledLanes
 
+    backend = kernel_backend()
+    if backend.name != "compiled":
+        pytest.skip(f"lanes.c is not loaded: {backend.error}")
     problem = make_problem(family, **params)
-    vp = as_vector_problem(problem, VECTOR_K)
+    vp = CompiledLanes(problem, VECTOR_K)
     rng = np.random.default_rng(0)
     configs = np.stack(
         [problem.random_configuration(rng) for _ in range(VECTOR_K)]
@@ -97,7 +102,7 @@ def _vector_fixture(family, params):
 
 @pytest.mark.parametrize("family,params", VECTOR_PROBLEMS)
 def bench_vector_errors(benchmark, family, params):
-    """Batched per-variable errors across all lanes (one call)."""
+    """Per-variable errors across all lanes (one call)."""
     problem, vp, configs = _vector_fixture(family, params)
     errors = benchmark(lambda: vp.errors())
     assert errors.shape == (VECTOR_K, problem.size)
@@ -105,7 +110,7 @@ def bench_vector_errors(benchmark, family, params):
 
 @pytest.mark.parametrize("family,params", VECTOR_PROBLEMS)
 def bench_vector_deltas(benchmark, family, params):
-    """Batched best-swap deltas for one selected variable per lane."""
+    """Swap deltas for one selected variable per lane (one call)."""
     problem, vp, configs = _vector_fixture(family, params)
     i_sel = np.full(VECTOR_K, problem.size // 2, dtype=np.int64)
     deltas = benchmark(lambda: vp.deltas(i_sel))

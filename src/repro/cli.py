@@ -1099,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="K",
-        help="collect runs as lanes of the NumPy-batched vector engine, K "
+        help="collect runs as lanes of the lock-step vector engine, K "
         "at a time (0 = sequential; iteration counts stay bit-identical)",
     )
     p_sample.set_defaults(func=cmd_sample)

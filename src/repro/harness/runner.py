@@ -105,7 +105,7 @@ def collect_samples(
     its warm pool instead of one after another in this process; ``cluster``
     (a :class:`repro.net.ClusterClient` or a coordinator address) spreads
     them across a whole multi-node cluster instead; ``vector_lanes`` runs
-    the samples as lanes of the NumPy-batched
+    the samples as lanes of the lock-step
     :class:`~repro.vector.engine.VectorWalkEngine` (``vector_lanes`` at a
     time, every lane to its own termination).  All three keep per-run seeds
     bit-identical to the sequential path — iteration counts (the Las Vegas

@@ -7,7 +7,7 @@ worker pool — workers are spawned once per agent, problems are shipped to
 each worker once per job, and walks start warm).  One ``assign`` becomes
 one local job whose walks go by their cluster-wide ids and carry their
 exact :class:`~numpy.random.SeedSequence` — the local scheduler deals them
-over the pool (as vector lanes where the problem has batched kernels), and
+over the pool (as vector lanes where the problem has compiled lane kernels), and
 a walk executes the identical trajectory it would have executed on any
 other node or on a single host.
 

@@ -18,7 +18,7 @@ follows the identical trajectory under every one of them:
 - ``"pool"`` — the persistent warm-worker pool of :mod:`repro.service`:
   same first-finisher semantics, but the processes are spawned once and
   shared across solves (and concurrent jobs), so launch overhead is gone.
-- ``"vector"`` — all walks lock-step as lanes of the NumPy
+- ``"vector"`` — all walks lock-step as lanes of the
   :mod:`repro.vector` engine, optionally split over several processes
   (``lanes=``).
 - ``"net"`` — one job on a :mod:`repro.net` coordinator cluster.

@@ -175,7 +175,7 @@ class MultiWalkSolver:
         The explicit seed list keeps trajectories identical to the other
         executors (walk ``i`` is the same walk under every executor) —
         also when the service runs each worker's share of the walks as
-        vector lanes, which it does for problems with batched kernels.
+        vector lanes, which it does for problems with compiled lane kernels.
         """
         assert self.pool is not None
         handle = self.pool.submit(

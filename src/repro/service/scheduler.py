@@ -5,8 +5,8 @@ one shared :class:`~repro.service.pool.WorkerPool`:
 
 - every submitted :class:`~repro.service.jobs.Job` is split into *slices*
   of its walks, each slice one pool task tagged with the job's cancel
-  token.  A problem with batched vector kernels, compiled or NumPy
-  (:func:`repro.vector.lane_kernel`), is dealt round-robin into
+  token.  A problem with compiled lane kernels
+  (:func:`repro.vector.lane_kernel`) is dealt round-robin into
   ``min(n_walks, n_workers)`` slices, so every worker advances its whole
   share of the job at once as the lanes of one
   :class:`~repro.vector.engine.VectorWalkEngine`; any other problem gets
@@ -567,7 +567,7 @@ class SolverService:
             state.problem_id = pool.register_problem(state.job.problem)
             walk_ids = list(state.seeds)
             # one walk per task, unless there are more walks than workers
-            # and the problem has batched kernels: then one lane batch per
+            # and the problem has compiled kernels: then one lane batch per
             # worker
             n_slices = len(walk_ids)
             state.kernel = lane_kernel(state.job.problem)
@@ -643,9 +643,8 @@ class SolverService:
             if recorder.enabled:
                 # a one-walk slice is ``AdaptiveSearch.solve``: one compiled
                 # lane where there is one, else the session (no lane engine)
-                lanes, kernel = len(walk_ids), state.kernel
-                if lanes == 1 and kernel != "compiled":
-                    lanes, kernel = 0, "scalar"
+                kernel = state.kernel
+                lanes = len(walk_ids) if kernel == "compiled" else 0
                 recorder.emit(
                     JobDispatch(
                         trace_id=ctx.trace_id if ctx is not None else "",

@@ -83,7 +83,7 @@ class WalkTask:
     would run in any other slice, on any other executor.  A one-walk slice
     is ``AdaptiveSearch.solve``; a wider one runs as the lanes of one
     :class:`~repro.vector.engine.VectorWalkEngine` (the scheduler only
-    builds wide slices for problems with batched kernels).
+    builds wide slices for problems with compiled lane kernels).
 
     ``trace`` is ``None`` unless the scheduler is tracing this job, in
     which case the worker runs the slice under a ring-buffered telemetry

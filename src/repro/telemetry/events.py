@@ -106,10 +106,9 @@ class JobDispatch(TelemetryEvent):
     (``walk_id`` is the first), ``lanes`` is how many run as lanes of one
     vector engine (0 = a single walk on the scalar session) and ``kernel``
     is what those lanes run on — ``"compiled"`` (``lanes.c``; a one-walk
-    slice of a problem it covers is one compiled lane), ``"numpy"`` (its
-    build is not there, or has no kernels for the problem) or
-    ``"scalar"``; empty where the dispatcher does not decide it (a
-    coordinator handing walks to a node).
+    slice of a problem it covers is one compiled lane) or ``"scalar"`` (its
+    build is not there, or has no kernels for the problem); empty where the
+    dispatcher does not decide it (a coordinator handing walks to a node).
     """
 
     kind = "job_dispatch"

@@ -1,13 +1,13 @@
 """The vector-walk engine: ``k`` independent walks, lock-step in one process.
 
 :class:`VectorWalkEngine` advances ``k`` Adaptive Search walks ("lanes")
-simultaneously.  Each round every live lane executes exactly one iteration
-of the scalar loop in :class:`repro.core.session.AdaptiveSearchSession` —
+in lock-step.  Each round every live lane executes exactly one iteration
+of the scalar loop of :class:`repro.core.session.AdaptiveSearchSession` —
 worst-variable selection, best-swap evaluation, tabu/plateau/local-minimum
-bookkeeping, partial resets and restarts — but the per-iteration O(n) work
-is batched across lanes: through the compiled kernels of ``lanes.c`` where
-they are loaded and cover the problem, through a NumPy
-:class:`~repro.vector.problems.VectorProblem` kernel set everywhere else.
+bookkeeping, partial resets and restarts.  Where ``lanes.c`` is loaded and
+has a kind for the problem (:func:`repro.vector.problems.lane_kernel`
+answers ``"compiled"``) the rows are compiled lanes and one C call runs
+rounds of all of them; everywhere else every row is a session of its own.
 
 Equivalence contract
 --------------------
@@ -15,7 +15,7 @@ Lane ``l`` seeded with ``seeds[l]`` produces the *bit-identical* trajectory
 (configurations, costs, marks, counters, RNG stream) of an
 ``AdaptiveSearchSession`` walk with the same seed and configuration:
 
-- all batched quantities (errors, deltas, costs) are exact integers,
+- all compiled quantities (errors, deltas, costs) are exact integers,
   computed by kernels verified equal to the scalar protocol;
 - RNG draws happen per lane, on that lane's own generator, at exactly the
   scalar call sites (tie-breaks, local-minimum acceptance, reset swaps,
@@ -25,20 +25,16 @@ Lane ``l`` seeded with ``seeds[l]`` produces the *bit-identical* trajectory
   iterate.
 
 The property tests in ``tests/vector`` pin this down across problem
-families, widths and reset/restart-heavy regimes.
+families, widths and reset/restart-heavy regimes, on both kinds of row.
 
 Every row is a live lane
 ------------------------
-The ``(m, ...)`` arrays of a batch hold the ``m`` lanes still running and
-nothing else.  A lane that finishes is *retired* the round it finishes: its
-result is captured, its row leaves every array and the generator list, and
-the problem adapter is rebuilt at the new width.  The round therefore has no
-live-subset bookkeeping: a live lane's iteration count *is* the round
-number, marks compare against one scalar, counters update by mask adds, and
-marks and configurations are written through flat ``lane * n + variable``
-indices.  What stays per lane is the draws — the contract above — and the
-partial resets they drive.  ``iterations`` / ``cost`` / ``best_cost`` /
-``active`` are assembled per *original* lane on demand.
+The rows of a batch are the lanes still running and nothing else.  A lane
+that finishes is *retired* at the pre-phase after the round it finishes
+in (a compiled lane that its observer cancels, at once): its result is
+captured and its row leaves the batch.  A live lane's
+iteration count *is* the round number.  ``iterations`` / ``cost`` /
+``best_cost`` / ``active`` are assembled per *original* lane on demand.
 
 One buffer
 ----------
@@ -50,7 +46,7 @@ A compiled batch lives in one int64 buffer, allocated by its
 
 The ``LaneBlock`` that ``lanes_run`` reads is a ctypes view of the first
 words.  The engine's own arrays come next, each a view of the buffer
-(:meth:`~repro.vector.problems.VectorProblem.lane_arrays` hands them over):
+(:meth:`~repro.vector.problems.CompiledLanes.lane_arrays` hands them over):
 the ``(m, n)`` configurations, marks and best configurations, the
 ``(7, m)`` counters, and the ``(m,)`` costs and best costs.  Then the
 per-lane hand-off vectors, the ``(m, n)`` scratch and every lane's derived
@@ -61,28 +57,27 @@ pointers are offsets into the buffer plus the buffer's address.  Only each
 lane's generator address is written later, when the batch first runs.  A
 retirement that leaves lanes behind moves their rows into a fresh buffer at
 the new width; a batch that retires whole keeps its arrays as they are.
-The NumPy round keeps separate arrays, with marks as narrow as the
-iteration budget allows.
 
-Two rounds, one contract
-------------------------
+Two kinds of row, one lifecycle
+-------------------------------
 The lifecycle around a round — seeding, the pre-phase, retirement,
-restarts, callbacks, results — is one body of code.  The round itself
-exists twice.  The compiled one is ``lanes_run`` of ``lanes.c``: per lane
-the whole scalar iteration, partial reset included, with every draw made in
-C *through the lane's own generator* (NumPy's ``bitgen_t`` interface; the
-one NumPy algorithm C reproduces, the bounded-integer map of
-``Generator.integers``, is checked draw for draw when the library loads).
-The contract above is unchanged word for word: the session calls
-``rng.integers`` / ``rng.random``, C calls the same generator's own
-functions, so a lane's stream does not depend on how the round is executed.
-``_round`` is the same iteration as whole-batch NumPy statements with the
-draws made in Python; it is the only lane path on a host where ``lanes.c``
-could not be built or failed its handshake, the path of third-party
-adapters and of an explicit ``vector_problem=``, and the reference the
-compiled kernels are tested against.  Which one runs is observed
-(:func:`repro.vector.problems.lane_kernel`), never chosen: there is no
-argument, option or environment variable for it.
+``first_wins``, callbacks, the time limit, results — is one body of code.
+The iteration exists twice.  The compiled one is ``lanes_run`` of
+``lanes.c``: per lane the whole scalar iteration, partial reset included,
+with every draw made in C *through the lane's own generator* (NumPy's
+``bitgen_t`` interface; the one NumPy algorithm C reproduces, the
+bounded-integer map of ``Generator.integers``, is checked draw for draw
+when the library loads).  Without it — no compiler, a failed handshake, a
+problem with no kind — each row is an ``AdaptiveSearchSession`` on the
+lane's generator, advanced by ``step(1)`` a round: the session *is* the
+scalar walk, so there is nothing to hold equal.  It calls its own
+``on_start`` / ``on_iteration`` / ``on_reset`` / ``on_restart``; the engine
+calls ``on_finish``.  Its pre-phase is ``step(0)``, as in
+``AdaptiveSearchSession.run``.  One difference shows between callbacks
+only: a session restarts at the end of the round its iteration made the
+restart due, a compiled lane at the pre-phase after it — the same walk,
+one ``round_callback`` apart.  Which kind runs is observed, never chosen:
+there is no argument, option or environment variable for it.
 
 ``run`` advances to the next event
 ----------------------------------
@@ -95,8 +90,8 @@ lane reaches the target.  One call is capped at
 a ctypes call cannot be interrupted, so that is the grain at which
 ``time_limit`` is checked and a signal is delivered.  A batch with
 observers or a ``round_callback`` runs one round per call and tells them
-what the NumPy round tells them.  The call releases the GIL.  How rounds
-are grouped into calls changes no walk (``tests/vector/test_call_grouping``).
+what a session tells them.  The call releases the GIL.  How rounds are
+grouped into calls changes no walk (``tests/vector/test_call_grouping``).
 
 One lane is ``AdaptiveSearch.solve``
 -----------------------------------
@@ -127,7 +122,7 @@ as with the scalar engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Optional, Sequence
 
@@ -136,37 +131,21 @@ import numpy as np
 from repro.core.callbacks import CallbackList, IterationInfo
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.result import SolveResult, SolveStats
+from repro.core.session import AdaptiveSearchSession
 from repro.core.termination import TerminationReason
-from repro.csp.permutation import random_partial_reset
 from repro.errors import SolverError
 from repro.problems.base import Problem
 from repro.util.rng import SeedLike, as_generator
 from repro.util.timing import Stopwatch
-from repro.vector.problems import (
-    CompiledLanes,
-    VectorProblem,
-    as_vector_problem,
-    lane_kernel,
-)
-from repro.vector.selection import argmin_lanes, masked_argmax_lanes
+from repro.vector.problems import CompiledLanes, lane_kernel
 
 __all__ = ["VectorWalkEngine", "VectorRunOutcome", "solve_vector"]
 
-#: rows of the ``(7, m)`` counter array (``_retire`` reads a lane's column
-#: in this order); a local minimum always freezes its variable, so those two
-#: rows are adjacent and updated as one slice
-_STAT_FIELDS = (
-    "swaps",
-    "plateau_moves",
-    "accepted_local_min_moves",
-    "local_minima",
-    "frozen_variables",
-    "resets",
-    "restarts",
-)
-(
-    _SWAPS, _PLATEAU, _ACCEPTED, _LOCAL_MIN, _FROZEN, _RESETS, _RESTARTS,
-) = range(len(_STAT_FIELDS))
+#: the last two rows of a compiled batch's ``(7, m)`` counter array
+#: (``_retire`` reads a lane's column in ``lanes.c``'s order: swaps, plateau
+#: moves, accepted local-minimum moves, local minima, frozen variables,
+#: resets, restarts)
+_RESETS, _RESTARTS = 5, 6
 
 #: lane-iterations one ``lanes_run`` call may span (see module docstring)
 _LANE_ITERATIONS_PER_CALL = 1 << 14
@@ -252,7 +231,6 @@ class VectorWalkEngine:
         use_problem_defaults: bool = True,
         first_wins: bool = False,
         round_callback: Optional[Callable[["VectorWalkEngine"], Optional[bool]]] = None,
-        vector_problem: Optional[VectorProblem] = None,
         callbacks: Optional[Sequence[Optional[Sequence[object]]]] = None,
         initial_configurations: Optional[Sequence[Optional[np.ndarray]]] = None,
         solver_name: str = "vector_adaptive_search",
@@ -296,40 +274,10 @@ class VectorWalkEngine:
                 f"lanes {shared} share a bit generator; every lane draws "
                 "from a stream of its own"
             )
-        #: per live row, its lane's observers; ``None`` when no lane has any
-        self._observers: Optional[list[CallbackList]] = None
-        if callbacks is not None and any(callbacks):
-            self._observers = [
-                CallbackList(list(members or ())) for members in callbacks
-            ]
-        # observed, never chosen: the compiled round runs where its
-        # kernels are loaded and cover the problem, the NumPy round
-        # everywhere else (an explicit ``vector_problem=`` included)
-        if vector_problem is not None:
-            self.vp = vector_problem
-        elif lane_kernel(problem) == "compiled":
-            self.vp = CompiledLanes(problem, k, base)
-        else:
-            self.vp = as_vector_problem(problem, k)
-        self._compiled = isinstance(self.vp, CompiledLanes)
-        (
-            self._configs, self._marks, self._best_configs, self._stats,
-            self._cost, self._best_cost,
-        ) = self.vp.lane_arrays(base)
-        configs = self._configs
-        starts = initial_configurations or [None] * k
-        for lane, start in enumerate(starts):
-            if start is None:
-                start = problem.random_configuration(self.rngs[lane])
-            else:
-                problem.check_configuration(start)
-            configs[lane] = start
-        self._cost[:] = self.vp.lane_costs(configs)
-        self._best_cost[:] = self._cost
-        self._best_configs[:] = configs
-        # the round a lane's next restart falls due; only a restart moves it
-        self._restart_due = [base.restart_limit] * k
-        self._next_restart = base.restart_limit
+        self._stopwatch = Stopwatch()
+        self.rounds = 0
+        #: round-running calls made so far (one per round on session rows)
+        self.calls = 0
         #: original lane of every live row
         self._lanes = list(range(k))
         self._walks: list[Optional[SolveResult]] = [None] * k
@@ -337,31 +285,52 @@ class VectorWalkEngine:
         self._done_iterations = [0] * k
         self._done_cost = [0.0] * k
         self._done_best_cost = [0.0] * k
-        self._stopwatch = Stopwatch()
-        self.rounds = 0
-        #: round-running calls made so far (one per round on the NumPy round)
-        self.calls = 0
-        self._sentinel = self.vp.delta_sentinel
-        #: the adapter the round's scratch is set up for (see ``run``)
-        self._scratch_of: Optional[VectorProblem] = None
-        if self._observers is not None:
+        starts = initial_configurations or [None] * k
+        for start in starts:
+            if start is not None:
+                problem.check_configuration(start)
+        #: per live row, its lane's observers on compiled rows; ``None``
+        #: when no lane has any (a session row holds its own)
+        self._observers: Optional[list[CallbackList]] = None
+        # observed, never chosen: compiled rows where ``lanes.c`` is loaded
+        # and has a kind for the problem, a session per row everywhere else
+        self._compiled = lane_kernel(problem) == "compiled"
+        if not self._compiled:
+            self.vp: Optional[CompiledLanes] = None
+            #: per live row, the session that is its walk
+            self._sessions = [
+                AdaptiveSearchSession(
+                    problem, base, rng,
+                    callbacks=callbacks[lane] if callbacks else None,
+                    initial_configuration=starts[lane],
+                )
+                for lane, rng in enumerate(self.rngs)
+            ]
+            return
+        self.vp = CompiledLanes(problem, k, base)
+        (
+            self._configs, self._marks, self._best_configs, self._stats,
+            self._cost, self._best_cost,
+        ) = self.vp.lane_arrays()
+        configs = self._configs
+        for lane, start in enumerate(starts):
+            if start is None:
+                start = problem.random_configuration(self.rngs[lane])
+            configs[lane] = start
+        self._cost[:] = self.vp.lane_costs(configs)
+        self._best_cost[:] = self._cost
+        self._best_configs[:] = configs
+        # the round a lane's next restart falls due; only a restart moves it
+        self._restart_due = [base.restart_limit] * k
+        self._next_restart = base.restart_limit
+        #: the batch whose block holds the lanes' generators (see ``run``)
+        self._bound: Optional[CompiledLanes] = None
+        if callbacks is not None and any(callbacks):
+            self._observers = [
+                CallbackList(list(members or ())) for members in callbacks
+            ]
             for row, observers in enumerate(self._observers):
                 observers.on_start(configs[row], float(self._cost[row]))
-
-    def _set_width(self) -> None:
-        """Per-width scratch: the lanes' generators in the compiled round's
-        block, or the NumPy round's cached draw methods, flat row bounds
-        and buffers."""
-        m = len(self.rngs)
-        self._scratch_of = self.vp
-        if self._compiled:
-            self.vp.bind(self.rngs)
-            return
-        self._integers = [rng.integers for rng in self.rngs]
-        self._randoms = [rng.random for rng in self.rngs]
-        self._bounds = np.arange(m + 1) * self.n
-        self._eligible = np.empty((m, self.n), dtype=bool)
-        self._better = np.empty(m, dtype=bool)
 
     # ------------------------------------------------------------------
     # per-original-lane views, assembled on demand: finished lanes stay at
@@ -379,13 +348,19 @@ class VectorWalkEngine:
 
     @property
     def cost(self) -> np.ndarray:
-        return self._per_lane(self._done_cost, self._cost, np.float64)
+        live = (
+            self._cost if self._compiled
+            else [session.cost for session in self._sessions]
+        )
+        return self._per_lane(self._done_cost, live, np.float64)
 
     @property
     def best_cost(self) -> np.ndarray:
-        return self._per_lane(
-            self._done_best_cost, self._best_cost, np.float64
+        live = (
+            self._best_cost if self._compiled
+            else [session.best_cost for session in self._sessions]
         )
+        return self._per_lane(self._done_best_cost, live, np.float64)
 
     @property
     def active(self) -> np.ndarray:
@@ -418,11 +393,16 @@ class VectorWalkEngine:
                 self._pre_phase()
                 if not self.rngs:
                     break
-                if self._scratch_of is not self.vp:
-                    # a first round, or the first at a new width: a batch
-                    # that ends in a pre-phase never pays for its scratch
-                    self._set_width()
-                if self._compiled:
+                if not self._compiled:
+                    for session in self._sessions:
+                        session.step(1)
+                    self.rounds += 1
+                else:
+                    if self._bound is not self.vp:
+                        # a first round, or the first at a new width: a
+                        # batch that ends in a pre-phase binds nothing
+                        self.vp.bind(self.rngs)
+                        self._bound = self.vp
                     span = 1 if watched else min(
                         min(self._next_restart, max_iterations) - self.rounds,
                         max(1, _LANE_ITERATIONS_PER_CALL // len(self.rngs)),
@@ -430,12 +410,9 @@ class VectorWalkEngine:
                     self.rounds += self.vp.lib.lanes_run(
                         self.vp.block, self.rounds + 1, math.ceil(span)
                     )
-                else:
-                    self._round()
-                    self.rounds += 1
+                    if self._observers is not None:
+                        self._report_resets()
                 self.calls += 1
-                if self._compiled and self._observers is not None:
-                    self._report_resets()
                 if observed and not self._report_iterations():
                     break
                 if callback is not None and callback(self) is False:
@@ -455,31 +432,42 @@ class VectorWalkEngine:
         order and precedence; lanes that end here are retired."""
         cfg = self.config
         rounds = self.rounds
-        target = cfg.target_cost
         done = {}
-        for row, cost in enumerate(self._cost.tolist()):
-            if cost <= target:
-                done[row] = TerminationReason.SOLVED
-        if rounds >= self._next_restart:
-            due = [
-                row for row, at in enumerate(self._restart_due) if at <= rounds
-            ]
-            for row in due:
-                if row not in done:
-                    reason = self._restart_row(row)
-                    if reason is not None:
-                        done[row] = reason
+        if not self._compiled:
+            # a session runs the checks itself: step(0) is all but the
+            # budget, as in AdaptiveSearchSession.run
+            for row, session in enumerate(self._sessions):
+                reason = session.step(0)
+                if reason is not None:
+                    done[row] = reason
+        else:
+            target = cfg.target_cost
+            for row, cost in enumerate(self._cost.tolist()):
+                if cost <= target:
+                    done[row] = TerminationReason.SOLVED
+            if rounds >= self._next_restart:
+                due = [
+                    row
+                    for row, at in enumerate(self._restart_due)
+                    if at <= rounds
+                ]
+                for row in due:
+                    if row not in done:
+                        reason = self._restart_row(row)
+                        if reason is not None:
+                            done[row] = reason
         if rounds >= cfg.max_iterations:
             for row in range(len(self.rngs)):
                 done.setdefault(row, TerminationReason.MAX_ITERATIONS)
         if done:
             self._retire(done)
-        if rounds >= self._next_restart and self.rngs:
+        if self._compiled and rounds >= self._next_restart and self.rngs:
             # the lanes that were due have restarted or left the batch
             self._next_restart = min(self._restart_due)
 
     def _restart_row(self, row: int) -> Optional[TerminationReason]:
-        """Restart one lane; the reason it ends instead, if it does."""
+        """Restart one compiled lane; the reason it ends instead, if it
+        does."""
         cfg = self.config
         restarts = self._stats[_RESTARTS]
         if restarts[row] >= cfg.max_restarts:
@@ -502,20 +490,6 @@ class VectorWalkEngine:
             return TerminationReason.SOLVED
         return None
 
-    def _partial_reset(self, row: int) -> None:
-        """The scalar partial reset on one lane's row (same RNG calls), for
-        the NumPy round; ``lanes.c`` makes its own (``lane_reset``)."""
-        config = self._configs[row]
-        random_partial_reset(config, self.config.reset_fraction, self.rngs[row])
-        self._stats[_RESETS, row] += 1
-        self._marks[row] = 0
-        self._cost[row] = self.problem.cost(config)
-        self.vp.notify_rows([row], self._configs)
-        if self._observers is not None:
-            self._observers[row].on_reset(
-                self.rounds + 1, float(self._cost[row])
-            )
-
     # ------------------------------------------------------------------
     def _retire_all(self, reason: TerminationReason) -> None:
         self._retire(dict.fromkeys(range(len(self.rngs)), reason))
@@ -528,22 +502,19 @@ class VectorWalkEngine:
             for row in range(m):
                 done.setdefault(row, TerminationReason.CANCELLED)
         now = self._stopwatch.elapsed
-        problem_name = self.problem.name
         rounds = self.rounds
         lanes = self._lanes
-        cost, best_cost = self._cost.tolist(), self._best_cost.tolist()
-        counters = self._stats.T.tolist()
+        if self._compiled:
+            cost, best_cost = self._cost.tolist(), self._best_cost.tolist()
+            counters = self._stats.T.tolist()
         for row, reason in done.items():
             lane = lanes[row]
-            swaps, plateau, accepted, local_min, frozen, resets, restarts = (
-                counters[row]
-            )
-            self._walks[lane] = walk = SolveResult(
-                solved=reason is TerminationReason.SOLVED,
-                config=self._best_configs[row].copy(),
-                cost=best_cost[row],
-                reason=reason,
-                stats=SolveStats(
+            if self._compiled:
+                (
+                    swaps, plateau, accepted, local_min, frozen, resets,
+                    restarts,
+                ) = counters[row]
+                stats = SolveStats(
                     iterations=rounds,
                     swaps=swaps,
                     local_minima=local_min,
@@ -553,37 +524,50 @@ class VectorWalkEngine:
                     resets=resets,
                     restarts=restarts,
                     wall_time=now,
-                ),
-                problem_name=problem_name,
+                )
+                config = self._best_configs[row].copy()
+                final, best = cost[row], best_cost[row]
+                observers = (
+                    None if self._observers is None else self._observers[row]
+                )
+            else:
+                session = self._sessions[row]
+                stats = replace(session.stats, wall_time=now)
+                config = session.best_config.copy()
+                final, best = session.cost, session.best_cost
+                observers = session.callbacks
+            self._walks[lane] = walk = SolveResult(
+                solved=reason is TerminationReason.SOLVED,
+                config=config,
+                cost=best,
+                reason=reason,
+                stats=stats,
+                problem_name=self.problem.name,
                 solver_name=self.solver_name,
             )
             self._done_iterations[lane] = rounds
-            self._done_cost[lane] = cost[row]
-            self._done_best_cost[lane] = best_cost[row]
-            if self._observers is not None:
-                self._observers[row].on_finish(walk.solved, walk.cost)
+            self._done_cost[lane] = final
+            self._done_best_cost[lane] = best
+            if observers is not None:
+                observers.on_finish(walk.solved, walk.cost)
         if len(done) == m:
             # the whole batch leaves: nothing is left to compress, and the
             # arrays stay as they are (the per-lane views read the results)
             self.rngs = []
-            if self._observers is not None:
-                self._observers = []
             return
         kept = [row not in done for row in range(m)]
-        keep = np.array(kept)
         self.rngs = list(compress(self.rngs, kept))
+        self._lanes = list(compress(self._lanes, kept))
+        if not self._compiled:
+            self._sessions = list(compress(self._sessions, kept))
+            return
         if self._observers is not None:
             self._observers = list(compress(self._observers, kept))
-        self._lanes = list(compress(self._lanes, kept))
         self._restart_due = list(compress(self._restart_due, kept))
-        # every adapter starts from a bare configuration matrix, and the
-        # survivors' rows move into the arrays of the new width
-        width = len(self.rngs)
-        self.vp = (
-            CompiledLanes(self.problem, width, self.config)
-            if self._compiled
-            else type(self.vp)(self.problem, width)
-        )
+        # the survivors' rows move into the arrays of a batch at the new
+        # width
+        keep = np.array(kept)
+        self.vp = CompiledLanes(self.problem, len(self.rngs), self.config)
         old = (
             self._configs, self._marks, self._best_configs, self._stats,
             self._cost, self._best_cost,
@@ -591,7 +575,7 @@ class VectorWalkEngine:
         (
             self._configs, self._marks, self._best_configs, self._stats,
             self._cost, self._best_cost,
-        ) = self.vp.lane_arrays(self.config)
+        ) = self.vp.lane_arrays()
         self._configs[...] = old[0][keep]
         self._marks[...] = old[1][keep]
         self._best_configs[...] = old[2][keep]
@@ -601,23 +585,21 @@ class VectorWalkEngine:
 
     def _report_resets(self) -> None:
         """Tell the observers of the lanes ``lanes_run`` reset in the round
-        it just ran (the NumPy round's are told by ``_partial_reset``)."""
+        it just ran."""
         observers = self._observers
         assert observers is not None
         for row in self.vp.resets.nonzero()[0].tolist():
             observers[row].on_reset(self.rounds, float(self._cost[row]))
 
     def _report_iterations(self) -> bool:
-        """Hand every observed lane the iteration it just ran, as the
-        scalar loop does: after the iteration's reset, if it took one, and
-        not at all for a lane that was frozen solid (the scalar loop's
+        """Hand every observed compiled lane the iteration it just ran, as
+        the scalar loop does: after the iteration's reset, if it took one,
+        and not at all for a lane that was frozen solid (the scalar loop's
         ``continue``).  A lane whose observer answers ``False`` is retired
         ``CANCELLED`` here, at this iteration.  False when no lane is left."""
         observers = self._observers
         assert observers is not None
-        selected, executed, delta = (
-            self.vp.moves() if self._compiled else self._moves
-        )
+        selected, executed, delta = self.vp.moves()
         cost, best_cost = self._cost.tolist(), self._best_cost.tolist()
         resets, restarts = self._stats[_RESETS:].tolist()
         cancelled = {}
@@ -641,116 +623,6 @@ class VectorWalkEngine:
         if cancelled:
             self._retire(cancelled)
         return bool(self.rngs)
-
-    # ------------------------------------------------------------------
-    def _round(self) -> None:
-        """One lock-step iteration of every lane, in NumPy."""
-        cfg = self.config
-        it = self.rounds + 1
-        vp = self.vp
-        configs, marks, cost, stats = (
-            self._configs, self._marks, self._cost, self._stats
-        )
-        bounds, integers = self._bounds, self._integers
-        base = bounds[:-1]
-
-        # worst variable that is not frozen, then its best swap (never with
-        # itself).  A lane with every variable frozen has no candidate: it
-        # rides along on variable 0, selects no swap, and ends the round in
-        # a partial reset — the scalar loop's `continue`.
-        vp.begin_round(configs)
-        eligible = np.less(marks, it, out=self._eligible)
-        flat_i, frozen = masked_argmax_lanes(
-            vp.errors(), eligible, bounds, integers
-        )
-        i_sel = flat_i - base
-        deltas = vp.deltas(i_sel)
-        deltas.reshape(-1)[flat_i] = self._sentinel
-        flat_j, delta = argmin_lanes(deltas, bounds, integers, frozen)
-
-        moved = delta < 0 if cfg.plateau_is_local_min else delta <= 0
-        local_min = ~moved
-        if frozen:
-            moved[frozen] = False
-            local_min[frozen] = False
-        flat_marks = marks.reshape(-1)
-        freeze_swap = cfg.freeze_swap
-        if freeze_swap > 0:
-            flat_marks[flat_i[moved]] = it + freeze_swap
-
-        # local minima: the freeze and its counters batch across lanes;
-        # only the acceptance draw runs per lane (RNG order matters within
-        # a lane; lanes are independent streams).  ``moved`` grows by the
-        # accepted moves; a rejected lane with too many frozen variables
-        # resets — its frozen count is row-local, so one pass serves all.
-        resets = frozen
-        lm_rows = local_min.nonzero()[0].tolist()
-        if lm_rows:
-            counters = stats[_LOCAL_MIN : _FROZEN + 1]
-            counters += local_min
-            flat_marks[flat_i[local_min]] = it + cfg.freeze_loc_min
-            prob = cfg.prob_select_loc_min
-            randoms = self._randoms
-            inf = math.inf
-            delta_of = delta.tolist()
-            accepted = []
-            rejected = []
-            for row in lm_rows:
-                if delta_of[row] < inf and randoms[row]() < prob:
-                    accepted.append(row)
-                else:
-                    rejected.append(row)
-            if accepted:
-                moved[accepted] = True
-                stats[_ACCEPTED, accepted] += 1
-            if rejected:
-                n_frozen = (marks > it).sum(axis=1).tolist()
-                reset_limit = cfg.reset_limit
-                resets = resets + [
-                    row for row in rejected if n_frozen[row] > reset_limit
-                ]
-
-        # apply every executed swap (improving + accepted local-minimum)
-        rows = moved.nonzero()[0]
-        if rows.size:
-            swaps = stats[_SWAPS]
-            swaps += moved
-            plateau = stats[_PLATEAU]
-            plateau += moved & (delta == 0)
-            at_i = flat_i[rows]
-            at_j = flat_j[rows]
-            if freeze_swap > 0:
-                flat_marks[at_j] = it + freeze_swap
-            flat_configs = configs.reshape(-1)
-            values_i = flat_configs[at_i]
-            flat_configs[at_i] = flat_configs[at_j]
-            flat_configs[at_j] = values_i
-            cost[rows] += delta[rows]
-            vp.notify_swaps(
-                rows, i_sel[rows], at_j - base[rows], at_i, at_j, configs
-            )
-
-        for row in resets:
-            self._partial_reset(row)
-
-        # track best for every lane that selected (including rejected
-        # local-minimum lanes whose reset fell through, as in the scalar loop)
-        better = np.less(cost, self._best_cost, out=self._better)
-        if frozen:
-            better[frozen] = False
-        rows = better.nonzero()[0]
-        if rows.size:
-            self._best_cost[rows] = cost[rows]
-            self._best_configs[rows] = configs[rows]
-
-        if self._observers is not None:
-            # what _report_iterations reads: per lane the variable selected
-            # (-1: frozen solid), the partner swapped with (-1: none), delta
-            selected = i_sel.copy()
-            if frozen:
-                selected[frozen] = -1
-            executed = np.where(moved, flat_j - base, -1)
-            self._moves = selected.tolist(), executed.tolist(), delta.tolist()
 
 
 def solve_vector(

@@ -747,7 +747,7 @@ static void lane_swap(const lane_block *b, int64_t l, int64_t i, int64_t j)
 }
 
 /* ------------------------------------------------------------------ */
-/* the kernels one at a time (VectorProblem protocol, tests)           */
+/* the kernels one at a time (CompiledLanes.errors / deltas, tests)    */
 /* ------------------------------------------------------------------ */
 
 void lanes_costs(const lane_block *b)

@@ -21,8 +21,8 @@ version; a warm start is one ``dlopen``.
 
 Nothing selects the outcome: a library that loads is used, and anything
 else — no compiler, an unusable cache directory, a failed build, a failed
-handshake — leaves :data:`LOADED` without one and the engine on its NumPy
-round.  A failed build warns once, with the compiler's stderr; the other
+handshake — leaves :data:`LOADED` without one and every lane on a session
+of its own.  A failed build warns once, with the compiler's stderr; the other
 causes are quiet and :func:`kernel_backend` names them.
 
 The handshake: ``lanes.c`` mirrors one struct of ours (``lane_block``) and
@@ -155,9 +155,9 @@ class Loaded(NamedTuple):
 
 
 class KernelBackend(NamedTuple):
-    """Which lane round this process runs, and why not the compiled one."""
+    """What this process's lanes run on, and why not the compiled round."""
 
-    name: str  # "compiled" | "numpy"
+    name: str  # "compiled" | "scalar"
     error: str
 
 
@@ -201,8 +201,8 @@ def _build(source: Path, target: Path) -> str:
                 f" building {source.name}:\n{proc.stderr}".rstrip()
             )
             warnings.warn(
-                f"compiled lane kernels unavailable, lanes run the NumPy "
-                f"round: {error}",
+                f"compiled lane kernels unavailable, lanes step the "
+                f"session: {error}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -267,7 +267,7 @@ LOADED = load_library()
 
 
 def kernel_backend() -> KernelBackend:
-    """``("compiled", "")``, or ``("numpy", why the build is not there)``."""
+    """``("compiled", "")``, or ``("scalar", why the build is not there)``."""
     if LOADED.lib is not None:
         return KernelBackend("compiled", "")
-    return KernelBackend("numpy", LOADED.error)
+    return KernelBackend("scalar", LOADED.error)

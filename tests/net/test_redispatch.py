@@ -58,7 +58,7 @@ class TestNodeDeath:
             # a node's two walks advance together as lanes, so the job
             # lasts as long as its *fastest* walk: under seed 29 every walk
             # needs 1.1M+ iterations (≈ 3 s of compiled two-lane rounds at
-            # ≈ 1.5 µs a lane-iteration, longer on the NumPy round), which
+            # ≈ 1.5 µs a lane-iteration, longer on session rows), which
             # outlives the kill at 0.5s *and* its detection a heartbeat
             # timeout later with room to spare, whichever node runs which
             # two walks

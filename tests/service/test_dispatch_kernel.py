@@ -2,8 +2,8 @@
 
 ``JobDispatch.kernel`` is set where the scheduler decides the slice width:
 ``"compiled"`` (``lanes.c``; a one-walk slice of a problem it covers is one
-compiled lane), ``"numpy"`` (its build is not there, or has no kernels for
-the problem) or ``"scalar"`` (one walk on the session) — so
+compiled lane) or ``"scalar"`` (one walk on the session: the build is not
+there, or has no kernels for the problem) — so
 ``repro trace`` can answer "why was this slice slow" on a host whose build
 failed, and ``repro service`` / ``repro node`` say which host that is.
 """
@@ -44,6 +44,10 @@ class TestDispatchNamesItsKernel:
         backend = kernel_backend().name
         assert lane_kernel(problem) == backend
         dispatches, records = traced_dispatches(problem, 8)
+        if backend == "scalar":  # no lanes without the library
+            assert [d["lanes"] for d in dispatches] == [0] * 8
+            assert {d["kernel"] for d in dispatches} == {"scalar"}
+            return
         assert [d["lanes"] for d in dispatches] == [4, 4]
         assert [d["kernel"] for d in dispatches] == [backend, backend]
         timeline = render_timeline(records, analyze_trace(records))
@@ -53,7 +57,7 @@ class TestDispatchNamesItsKernel:
         """A one-walk slice is ``AdaptiveSearch.solve``: one compiled lane
         for a problem ``lanes.c`` covers, the scalar session for a problem
         without lane kernels at any width — and on a host without the
-        library for both (a NumPy round at k = 1 loses to the session).
+        library for both.
 
         Every walk must be dispatched: no walk of either job may solve
         inside the budget, or first-wins ends the job before its last
@@ -80,8 +84,8 @@ class TestDispatchNamesItsKernel:
                 assert "dispatch job=7 walk=0 -> worker" in timeline
 
     def test_past_the_mask_limit_lanes_need_the_compiled_kernels(self):
-        """costas 34 is beyond the NumPy adapter's 64-bit masks: lanes
-        where ``lanes.c`` is loaded, one scalar walk per task where not."""
+        """costas 34 is beyond any machine-word mask: lanes where
+        ``lanes.c`` is loaded, one scalar walk per task where not."""
         problem = make_problem("costas", n=34)
         dispatches, _ = traced_dispatches(problem, 6)
         if kernel_backend().name == "compiled":

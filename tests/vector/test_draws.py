@@ -79,15 +79,15 @@ def test_a_library_whose_draws_differ_is_not_used(monkeypatch):
     failed = native.load_library()
     assert failed.lib is None and failed.path is None
     assert failed.error == "draws differ from this NumPy's Generator.integers"
-    # ... and a process that loaded it that way runs its lanes in NumPy
+    # ... and a process that loaded it that way steps a session per lane
     problem = make_problem("costas", n=9)
     config = AdaptiveSearchConfig(max_iterations=300)
     compiled = VectorWalkEngine(problem, 3, config, seeds=[1, 2, 3])
     assert isinstance(compiled.vp, CompiledLanes)
     expected = compiled.run().walks
     monkeypatch.setattr(native, "LOADED", failed)
-    assert kernel_backend() == ("numpy", failed.error)
-    assert lane_kernel(problem) == "numpy"
+    assert kernel_backend() == ("scalar", failed.error)
+    assert lane_kernel(problem) == "scalar"
     fallback = VectorWalkEngine(problem, 3, config, seeds=[1, 2, 3])
     assert not fallback._compiled
     for a, b in zip(expected, fallback.run().walks):
@@ -95,7 +95,7 @@ def test_a_library_whose_draws_differ_is_not_used(monkeypatch):
 
 
 def test_the_handshake_passes_on_this_numpy():
-    # on a host with a compiler the only reason for the NumPy round is one
+    # on a host with a compiler the only reason for session lanes is one
     # somebody should read
     backend = kernel_backend()
     assert "draws differ" not in backend.error, np.__version__

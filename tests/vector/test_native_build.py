@@ -5,8 +5,8 @@ Every case runs in fresh interpreters with an empty ``XDG_CACHE_HOME`` of
 its own (``repro.vector.native`` settles the outcome once, at import, so
 this pytest process can only ever show one of them).  The rule under test:
 which round runs is observed, never chosen — a library that builds and
-loads is used; anything else leaves the package importable, on the NumPy
-round, with the same lanes.
+loads is used; anything else leaves the package importable, each lane on
+a session of its own, with the same walks.
 """
 
 import json
@@ -86,7 +86,7 @@ def libraries(cache: Path) -> list[str]:
 
 def test_a_compiler_that_fails_costs_the_speed_and_nothing_else(tmp_path):
     failed = report(tmp_path / "a", CC="/bin/false")
-    assert failed["backend"] == "numpy" and not failed["compiled"]
+    assert failed["backend"] == "scalar" and not failed["compiled"]
     assert failed["library"] is None and libraries(tmp_path / "a") == []
     # one warning, carrying what the compiler said; then silence
     assert len(failed["warnings"]) == 1
@@ -98,7 +98,7 @@ def test_a_compiler_that_fails_costs_the_speed_and_nothing_else(tmp_path):
 
 def test_no_compiler_at_all_is_quiet(tmp_path):
     missing = report(tmp_path, CC=str(tmp_path / "no-such-cc"))
-    assert missing["backend"] == "numpy" and missing["warnings"] == []
+    assert missing["backend"] == "scalar" and missing["warnings"] == []
     assert "no C compiler" in missing["error"]
 
 
@@ -149,7 +149,7 @@ def test_a_cache_others_can_write_to_is_not_used(tmp_path, mode):
     folder.mkdir()
     folder.chmod(mode)
     shy = report(tmp_path)
-    assert shy["backend"] == "numpy" and shy["library"] is None
+    assert shy["backend"] == "scalar" and shy["library"] is None
     assert "writable by others" in shy["error"]
     assert shy["warnings"] == [] and libraries(tmp_path) == []
 
@@ -158,7 +158,7 @@ def test_a_cache_that_belongs_to_someone_else_is_not_used(tmp_path):
     (tmp_path / "repro").mkdir(mode=0o700)
     someone_else = "import os\nos.getuid = lambda: 2**31 - 7\n"
     shy = report(tmp_path, prelude=someone_else)
-    assert shy["backend"] == "numpy" and shy["library"] is None
+    assert shy["backend"] == "scalar" and shy["library"] is None
     assert "belongs to another user" in shy["error"]
     assert libraries(tmp_path) == []
 
